@@ -1,14 +1,96 @@
-"""Dense exact linear algebra over Fraction.
+"""Sparse exact linear algebra over Fraction.
 
-Everything here is deterministic: row echelon always pivots on the first
-nonzero column, scanning rows top to bottom.  Vectors are lists of
-Fraction; matrices are lists of row vectors.
+The public functions take and return dense vectors (lists of Fraction) and
+matrices (lists of row vectors).  Inside, a row is a ``{column: value}``
+dict that holds only nonzero entries, so elimination costs what the
+nonzeros cost rather than what the shape costs: the matrices ratho builds
+are almost entirely zero.
+
+Every pivot is the lowest nonzero column of its row and pivot rows are
+monic.  rref reduces them fully, which gives the reduced row echelon form;
+that form is unique for a row space, and so is the residual of a vector
+modulo a span once it is zero on every pivot column.  Every result here,
+and every representative or witness built from one, is therefore the same
+as dense Gauss-Jordan elimination gives, in whatever order the rows are
+eliminated.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _sparse(vec):
+    # callers fill a vector from one shared Fraction(0): skipping that
+    # object by identity saves a Fraction.__bool__ call on most zeros
+    zero = next((x for x in vec if not x), None)
+    return {c: x for c, x in enumerate(vec) if x is not zero and x}
+
+
+def _dense(row, ncols):
+    v = [ZERO] * ncols
+    for c, x in row.items():
+        v[c] = x
+    return v
+
+
+def _reduce(pivots, v):
+    """Make the sparse row v zero on every pivot column, in place.
+
+    pivots maps each pivot column to its monic row, whose lowest column it
+    is.  Rows are used lowest pivot first, so a row may still carry entries
+    on higher pivot columns: those are cleared when their turn comes.
+    """
+    heap = [c for c in v if c in pivots]
+    heapify(heap)
+    while heap:
+        pc = heappop(heap)
+        f = v.get(pc)
+        if f is None:
+            continue
+        for c, x in pivots[pc].items():
+            y = v.get(c)
+            if y is None:
+                v[c] = -f * x
+                if c in pivots:
+                    heappush(heap, c)
+            else:
+                y -= f * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+    return v
+
+
+def _insert(pivots, v):
+    """Add the reduced nonzero row v to pivots, scaled to be monic."""
+    pc = min(v)
+    inv = ONE / v[pc]
+    row = pivots[pc] = {c: x * inv for c, x in v.items()}
+    return row
+
+
+def _echelon(rows):
+    """Monic echelon rows spanning the given sparse rows, by pivot column."""
+    pivots = {}
+    for v in rows:
+        if _reduce(pivots, v):
+            _insert(pivots, v)
+    return pivots
+
+
+def _rref(rows):
+    """Reduced row echelon form of the given sparse rows, by pivot column."""
+    pivots = _echelon(rows)
+    # from the highest pivot down, each row is reduced against rows that
+    # are already fully reduced, so no reduction spills into another
+    for pc in sorted(pivots, reverse=True):
+        row = pivots.pop(pc)
+        pivots[pc] = _reduce(pivots, row)
+    return pivots
 
 
 def rref(rows):
@@ -16,36 +98,16 @@ def rref(rows):
 
     Returns (reduced_rows, pivot_columns).  Input is not mutated.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(mat):
-            break
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
+    ncols = len(rows[0])
+    pivots = _rref(_sparse(r) for r in rows)
+    order = sorted(pivots)
+    return [_dense(pivots[pc], ncols) for pc in order], order
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return len(_echelon(_sparse(r) for r in rows))
 
 
 def nullspace(rows, ncols):
@@ -54,16 +116,21 @@ def nullspace(rows, ncols):
     One basis vector per free column, with that free coordinate set to 1;
     ordered by increasing free-column index.
     """
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
+    pivots = _rref(_sparse(r) for r in rows)
+    # in a fully reduced row every entry off the pivot is in a free column
+    by_free = {}
+    for pc, row in pivots.items():
+        for c, x in row.items():
+            if c != pc:
+                by_free.setdefault(c, []).append((pc, -x))
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [ZERO] * ncols
         v[free] = ONE
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[free]
+        for pc, x in by_free.get(free, ()):
+            v[pc] = x
         basis.append(v)
     return basis
 
@@ -72,70 +139,53 @@ def solve(rows, rhs):
     """Solve sum_i x_i * rows[i] = rhs for the coefficient list x.
 
     Treats the given rows as spanning vectors and rhs as a target vector;
-    returns a coefficient list or None if rhs is outside the span.
+    returns a coefficient list or None if rhs is outside the span.  Vectors
+    that depend on earlier ones get coefficient 0.
     """
     if not rows:
         return None if any(x != 0 for x in rhs) else []
-    ncols = len(rows[0])
     # columns of the system are the spanning vectors; augment with rhs
     nvec = len(rows)
-    aug = []
-    for c in range(ncols):
-        aug.append([rows[i][c] for i in range(nvec)] + [rhs[c]])
-    red, pivots = rref(aug)
+    aug = {}
+    for i, row in enumerate(list(rows) + [rhs]):
+        for c, x in _sparse(row).items():
+            aug.setdefault(c, {})[i] = x
+    pivots = _rref(aug.values())
     if nvec in pivots:
         return None
     x = [ZERO] * nvec
-    for row, pc in zip(red, pivots):
-        x[pc] = row[nvec]
+    for pc, row in pivots.items():
+        x[pc] = row.get(nvec, ZERO)
     return x
 
 
 class Echelon:
     """Incremental echelon basis with monic pivots, for span membership.
 
-    Rows are kept fully reduced against each other; pivot = first nonzero
-    coordinate.  add() returns the residual of the vector after reduction
-    (zero vector means it was already in the span).
+    Each pivot is the lowest nonzero coordinate of its row.  add() returns
+    the residual of the vector after reduction, made monic (the zero
+    vector means it was already in the span).
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []
-        self.pivot_cols = []
+        self._pivots = {}
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._pivots)
 
     def reduce(self, vec):
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivot_cols):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        return _dense(_reduce(self._pivots, _sparse(vec)), self.ncols)
 
     def add(self, vec):
-        v = self.reduce(vec)
-        pc = next((i for i, x in enumerate(v) if x != 0), None)
-        if pc is None:
-            return v
-        inv = ONE / v[pc]
-        v = [x * inv for x in v]
-        for i, (row, opc) in enumerate(zip(self.rows, self.pivot_cols)):
-            if row[pc] != 0:
-                f = row[pc]
-                self.rows[i] = [a - f * b for a, b in zip(row, v)]
-        at = 0
-        while at < len(self.pivot_cols) and self.pivot_cols[at] < pc:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivot_cols.insert(at, pc)
-        return v
+        v = _reduce(self._pivots, _sparse(vec))
+        if not v:
+            return [ZERO] * self.ncols
+        return _dense(_insert(self._pivots, v), self.ncols)
 
     def contains(self, vec):
-        return all(x == 0 for x in self.reduce(vec))
+        return not _reduce(self._pivots, _sparse(vec))
 
 
 def intersect_with_coordinate_subspace(vectors, allowed, ncols):
@@ -150,14 +200,8 @@ def intersect_with_coordinate_subspace(vectors, allowed, ncols):
     inv_order = [0] * ncols
     for pos, c in enumerate(order):
         inv_order[c] = pos
-    permuted = [[v[c] for c in order] for v in vectors]
-    red, pivots = rref(permuted)
+    pivots = _rref({inv_order[c]: x for c, x in _sparse(v).items()}
+                   for v in vectors)
     cut = len(disallowed)
-    out = []
-    for row, pc in zip(red, pivots):
-        if pc >= cut:
-            orig = [ZERO] * ncols
-            for pos, c in enumerate(order):
-                orig[c] = row[pos]
-            out.append(orig)
-    return out
+    return [_dense({order[pos]: x for pos, x in pivots[pc].items()}, ncols)
+            for pc in sorted(pivots) if pc >= cut]

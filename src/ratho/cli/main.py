@@ -622,6 +622,9 @@ def main(argv=None):
         return 0 if e.code == 0 else 2
     handler = _HANDLERS[args.command][0]
     try:
+        if args.max_degree is not None and args.max_degree < 0:
+            raise UsageError("--max-degree must be >= 0, got %d"
+                             % args.max_degree)
         code, result, witnesses, lines = handler(args)
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)

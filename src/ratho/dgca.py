@@ -5,9 +5,10 @@ assignment on generators, each d(g) homogeneous of degree |g|+1 (or zero),
 extended to everything as a graded derivation.  d*d = 0 is a certified
 property (check_d_squared), not a constructor assumption.
 
-Cohomology is computed degreewise by dense exact-rational row reduction
-with deterministic first-nonzero-column pivoting, so representatives are
-reproducible across runs.
+Cohomology is computed degreewise by sparse exact-rational row reduction
+(ratho._linalg) that pivots on the lowest nonzero column.  Reduced row
+echelon form is unique, so representatives are reproducible across runs
+and do not depend on how the elimination is carried out.
 
 Truncation semantics for algebras with degree-0 generators (interval,
 simplex and cylinder algebras): the differential never raises the total
@@ -224,7 +225,6 @@ def _slice_cohomology(A, n, polybound):
     # boundaries landing inside the window
     sl_dn = _Slice(A, n - 1, polybound)
     img = [sl.vector(apply_d(A, A.gens.from_exponents(m))) for m in sl_dn.basis]
-    img = [v for v in img if any(x != 0 for x in v)]
     if sl.bounded:
         window_set = set(sl.window)
         bnd = _linalg.intersect_with_coordinate_subspace(

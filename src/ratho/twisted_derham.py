@@ -179,18 +179,14 @@ def twisted_cohomology(C):
         else:
             pdom, pcols, prows = _differential_data(C, prev)
             ppos = {m: i for i, m in enumerate(pcols)}
-            window = [ppos[m] for m in dom if m in ppos]
-            allowed = set(window)
-            live = [v for v in prows if any(x != 0 for x in v)]
             if C.finite:
-                reduced = _linalg.rref(live)[0]
+                reduced = _linalg.rref(prows)[0]
             else:
+                allowed = {ppos[m] for m in dom if m in ppos}
                 reduced = _linalg.intersect_with_coordinate_subspace(
-                    live, allowed, len(pcols))
+                    prows, allowed, len(pcols))
             bnd = []
             for v in reduced:
-                if any(v[i] != 0 for i in range(len(v)) if i not in allowed):
-                    continue
                 w = [Fraction(0)] * len(dom)
                 for j, m in enumerate(dom):
                     if m in ppos:

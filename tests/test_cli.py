@@ -319,6 +319,14 @@ def test_usage_errors_exit_2(capsys):
     assert _run(["verify-flat", "corpus:s3"], capsys)[0] == 2
 
 
+def test_negative_max_degree_exits_2(capsys):
+    code, out, err = _run(["cohomology", "--max-degree", "-3", "corpus:s4"],
+                          capsys)
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err and "-3" in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = _run(["cohomology", "--max-degree", "4", "--json",

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratho import _linalg
+import _dense_oracle
 from ratho.core_algebra import basis_of_degree
 from ratho.dgca import DGCA, apply_d, cohomology_dims
 from ratho.twisted_derham import (
@@ -118,9 +118,9 @@ def _dense_parity_ranks(A, H):
     dims = {}
     for parity in (0, 1):
         rows = mat_for(parity)
-        rank = _linalg.rank(rows)
+        rank = _dense_oracle.rank(rows)
         ker = len(rows) - rank
-        dims[parity] = (ker, _linalg.rank(mat_for(1 - parity)))
+        dims[parity] = (ker, _dense_oracle.rank(mat_for(1 - parity)))
     even = dims[0][0] - dims[0][1]
     odd = dims[1][0] - dims[1][1]
     return (even, odd)
