@@ -1,10 +1,12 @@
 """Sparse exact linear algebra over Fraction.
 
 The public functions take and return dense vectors (lists of Fraction) and
-matrices (lists of row vectors).  Inside, a row is a ``{column: value}``
-dict that holds only nonzero entries, so elimination costs what the
-nonzeros cost rather than what the shape costs: the matrices ratho builds
-are almost entirely zero.
+matrices (lists of row vectors), except sparse_rank, which takes sparse
+rows directly.  Inside, a row is a ``{column: value}`` dict that holds
+only nonzero entries, so elimination costs what the nonzeros cost rather
+than what the shape costs: the matrices ratho builds are almost entirely
+zero.  dense and dense_transpose turn sparse rows built by callers into
+the dense arguments, with every zero the shared ZERO.
 
 Every pivot is the lowest nonzero column of its row and pivot rows are
 monic.  rref reduces them fully, which gives the reduced row echelon form;
@@ -29,11 +31,21 @@ def _sparse(vec):
     return {c: x for c, x in enumerate(vec) if x is not zero and x}
 
 
-def _dense(row, ncols):
+def dense(row, ncols):
+    """The dense vector of length ncols with the entries of a sparse row."""
     v = [ZERO] * ncols
     for c, x in row.items():
         v[c] = x
     return v
+
+
+def dense_transpose(rows, ncols):
+    """The dense transpose of sparse rows over ncols columns."""
+    cols = [[ZERO] * len(rows) for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][i] = x
+    return cols
 
 
 def _reduce(pivots, v):
@@ -103,11 +115,20 @@ def rref(rows):
     ncols = len(rows[0])
     pivots = _rref(_sparse(r) for r in rows)
     order = sorted(pivots)
-    return [_dense(pivots[pc], ncols) for pc in order], order
+    return [dense(pivots[pc], ncols) for pc in order], order
+
+
+def sparse_rank(rows):
+    """Rank of sparse rows ({column: Fraction}, no zero entries).
+
+    The rows are copied before elimination, which reduces rows in place,
+    so the input is not mutated.
+    """
+    return len(_echelon(dict(r) for r in rows))
 
 
 def rank(rows):
-    return len(_echelon(_sparse(r) for r in rows))
+    return sparse_rank(_sparse(r) for r in rows)
 
 
 def nullspace(rows, ncols):
@@ -176,13 +197,13 @@ class Echelon:
         return len(self._pivots)
 
     def reduce(self, vec):
-        return _dense(_reduce(self._pivots, _sparse(vec)), self.ncols)
+        return dense(_reduce(self._pivots, _sparse(vec)), self.ncols)
 
     def add(self, vec):
         v = _reduce(self._pivots, _sparse(vec))
         if not v:
             return [ZERO] * self.ncols
-        return _dense(_insert(self._pivots, v), self.ncols)
+        return dense(_insert(self._pivots, v), self.ncols)
 
     def contains(self, vec):
         return not _reduce(self._pivots, _sparse(vec))
@@ -203,5 +224,5 @@ def intersect_with_coordinate_subspace(vectors, allowed, ncols):
     pivots = _rref({inv_order[c]: x for c, x in _sparse(v).items()}
                    for v in vectors)
     cut = len(disallowed)
-    return [_dense({order[pos]: x for pos, x in pivots[pc].items()}, ncols)
+    return [dense({order[pos]: x for pos, x in pivots[pc].items()}, ncols)
             for pc in sorted(pivots) if pc >= cut]

@@ -44,10 +44,13 @@ def _load_model(path):
         except KeyError as e:
             raise UsageError(str(e.args[0]))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise UsageError("cannot read %s: %s" % (path, e.strerror))
+    except UnicodeDecodeError as e:
+        raise UsageError("cannot read %s: not valid UTF-8 at byte %d"
+                         % (path, e.start))
     return parse(text)
 
 
@@ -646,3 +649,7 @@ def main(argv=None):
 
 def console_entry():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_entry()

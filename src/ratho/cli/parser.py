@@ -18,8 +18,9 @@ Semantic rules enforced at parse time: generator names resolve inside
 their block's algebra, differentials and morphism images must be
 degree-homogeneous of the right degree, a generator named `d` is
 reserved, and a literal square of an odd generator (`x*x` or `x^2`) is
-rejected rather than silently normalized to zero.  Errors carry
-line:column positions.
+rejected rather than silently normalized to zero.  Parentheses nest at
+most MAX_NESTING deep, so hostile input cannot exhaust the recursion of
+the descent parser.  Errors carry line:column positions.
 
 parse -> print -> parse is the identity on the abstract form.
 """
@@ -28,6 +29,9 @@ from fractions import Fraction
 
 from ..core_algebra import AlgebraMorphism, GeneratorSet
 from ..dgca import DGCA
+
+# each level costs three frames of _expr/_term/_factor recursion
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -166,6 +170,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _lex(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -257,9 +262,13 @@ class _Parser:
                 return gens.monomial({t.value: e}), set()
             return gens.gen(t.value), ({t.value} if odd else set())
         if self.at_sym("("):
+            if self.depth == MAX_NESTING:
+                self.error("parentheses nested deeper than %d" % MAX_NESTING)
+            self.depth += 1
             self.next()
             value, _ = self._expr(gens)
             self.expect_sym(")")
+            self.depth -= 1
             if self.at_sym("^"):
                 self.error("power applies to generators only")
             return value, set()

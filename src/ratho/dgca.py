@@ -8,7 +8,11 @@ property (check_d_squared), not a constructor assumption.
 Cohomology is computed degreewise by sparse exact-rational row reduction
 (ratho._linalg) that pivots on the lowest nonzero column.  Reduced row
 echelon form is unique, so representatives are reproducible across runs
-and do not depend on how the elimination is carried out.
+and do not depend on how the elimination is carried out.  The rows of d
+are built sparse, by one builder (_d_rows); cohomology, is_exact and
+is_quasi_iso densify them for the representative and witness routines,
+while cohomology_dims only takes ranks of them and never forms a kernel
+basis or a representative.
 
 Truncation semantics for algebras with degree-0 generators (interval,
 simplex and cylinder algebras): the differential never raises the total
@@ -181,13 +185,17 @@ class _Slice:
         else:
             self.window = list(range(len(self.basis)))
 
-    def vector(self, p):
-        v = [Fraction(0)] * len(self.basis)
+    def row(self, p):
+        """Sparse coordinates {index: coefficient} of p in this slice."""
+        out = {}
         for m, c in p.terms.items():
             if m not in self.pos:
                 raise ValueError("element leaves the truncated slice")
-            v[self.pos[m]] = c
-        return v
+            out[self.pos[m]] = c
+        return out
+
+    def vector(self, p):
+        return _linalg.dense(self.row(p), len(self.basis))
 
     def poly(self, v):
         out = self.A.gens.zero()
@@ -195,6 +203,12 @@ class _Slice:
             if c:
                 out = out + self.A.gens.from_exponents(self.basis[i], c)
         return out
+
+
+def _d_rows(A, monomials, target):
+    """Sparse rows of d on the given monomials, in the target slice."""
+    return [target.row(apply_d(A, A.gens.from_exponents(m)))
+            for m in monomials]
 
 
 def _slice_cohomology(A, n, polybound):
@@ -206,13 +220,10 @@ def _slice_cohomology(A, n, polybound):
     sl = _Slice(A, n, polybound)
     sl_up = _Slice(A, n + 1, polybound)
     # cocycles: kernel of d restricted to the window coordinates
-    rows = []
-    for i in sl.window:
-        rows.append(sl_up.vector(apply_d(A, A.gens.from_exponents(sl.basis[i]))))
+    rows = _d_rows(A, [sl.basis[i] for i in sl.window], sl_up)
     if rows:
         # columns of the system are the d-images of the window monomials
-        mat = [[rows[i][r] for i in range(len(rows))]
-               for r in range(len(sl_up.basis))]
+        mat = _linalg.dense_transpose(rows, len(sl_up.basis))
         ker_small = _linalg.nullspace(mat, len(rows))
     else:
         ker_small = []
@@ -224,7 +235,8 @@ def _slice_cohomology(A, n, polybound):
         ker.append(big)
     # boundaries landing inside the window
     sl_dn = _Slice(A, n - 1, polybound)
-    img = [sl.vector(apply_d(A, A.gens.from_exponents(m))) for m in sl_dn.basis]
+    img = [_linalg.dense(r, len(sl.basis))
+           for r in _d_rows(A, sl_dn.basis, sl)]
     if sl.bounded:
         window_set = set(sl.window)
         bnd = _linalg.intersect_with_coordinate_subspace(
@@ -237,8 +249,9 @@ def _slice_cohomology(A, n, polybound):
         ech.add(v)
     reps = []
     for v in ker:
+        dim = ech.dim
         r = ech.add(v)
-        if any(x != 0 for x in r):
+        if ech.dim > dim:
             reps.append(r)
     return sl, ker, bnd, reps
 
@@ -267,7 +280,35 @@ def cohomology(A, degrees, polybound=None):
 
 
 def cohomology_dims(A, degrees, polybound=None):
-    return {s.degree: s.dim for s in cohomology(A, degrees, polybound)}
+    """{n: dim H^n} over an inclusive degree range (lo, hi), from ranks only.
+
+    With d_n the map from degree n to degree n+1 and window_n the cocycle
+    window (everything when there are no degree-0 generators),
+
+        dim H^n = (|window_n| - rank d_n|window_n) - b_n,
+
+    where b_n, the dimension of the boundaries inside the window, is
+    rank d_{n-1} without degree-0 generators and otherwise
+    rank d_{n-1} - rank(d_{n-1} on the columns outside window_n): the
+    dimension of im d_{n-1} intersected with the window's coordinates.
+    Each degree builds the rows that cohomology builds, so the answers and
+    errors are the same; no kernel basis or representative is formed.
+    """
+    lo, hi = degrees
+    dims = {}
+    for n in range(lo, hi + 1):
+        sl = _Slice(A, n, polybound)
+        sl_up = _Slice(A, n + 1, polybound)
+        cycles = len(sl.window) - _linalg.sparse_rank(
+            _d_rows(A, [sl.basis[i] for i in sl.window], sl_up))
+        d_in = _d_rows(A, _Slice(A, n - 1, polybound).basis, sl)
+        bnd = _linalg.sparse_rank(d_in)
+        if sl.bounded and bnd:
+            window = set(sl.window)
+            bnd -= _linalg.sparse_rank(
+                {c: x for c, x in r.items() if c not in window} for r in d_in)
+        dims[n] = cycles - bnd
+    return dims
 
 
 def is_exact(A, p, polybound=None):
@@ -285,8 +326,8 @@ def is_exact(A, p, polybound=None):
     n = p.degree()
     sl = _Slice(A, n, polybound)
     sl_dn = _Slice(A, n - 1, polybound)
-    rows = [sl.vector(apply_d(A, A.gens.from_exponents(m)))
-            for m in sl_dn.basis]
+    rows = [_linalg.dense(r, len(sl.basis))
+            for r in _d_rows(A, sl_dn.basis, sl)]
     coeffs = _linalg.solve(rows, sl.vector(p))
     if coeffs is None:
         return None
@@ -335,15 +376,14 @@ def is_quasi_iso(phi, degrees, polybound=None):
         ech = _linalg.Echelon(len(tsl.basis))
         for v in tbnd:
             ech.add(v)
-        rank = 0
+        dim = ech.dim
         for v in sreps:
-            img = tsl.vector(apply_morphism(phi, ssl.poly(v)))
-            r = ech.add(img)
-            if any(x != 0 for x in r):
-                rank += 1
-        injective = rank == len(sreps)
-        surjective = all(
-            not any(x != 0 for x in ech.add(v)) for v in treps)
+            ech.add(tsl.vector(apply_morphism(phi, ssl.poly(v))))
+        injective = ech.dim - dim == len(sreps)
+        dim = ech.dim
+        for v in treps:
+            ech.add(v)
+        surjective = ech.dim == dim
         reports.append({
             "degree": n,
             "dim_source": len(sreps),

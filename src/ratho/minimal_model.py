@@ -102,7 +102,9 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
         if reverse:
             cands.reverse()
         for v in cands:
-            if not any(x != 0 for x in ech.add(v)):
+            dim = ech.dim
+            ech.add(v)
+            if ech.dim == dim:
                 continue
             name = "v%d_%d" % (n, counter)
             counter += 1

@@ -9,8 +9,6 @@ reported rank is flagged boundary_affected: kernels are computed against the
 full, untruncated images, boundaries only from witnesses inside the window.
 """
 
-from fractions import Fraction
-
 from . import _linalg
 from .core_algebra import GeneratorSetMismatch, basis_of_degree
 from .dgca import apply_d
@@ -129,10 +127,14 @@ class TwistedSlice:
 
 
 def _differential_data(C, k):
-    """Vectors of D on residue k over an extended column index.
+    """Sparse rows of D on residue k over an extended column index.
 
-    Returns (domain monomials, extended column list, rows).  Columns cover
-    the target window plus any truncation overflow the images produce.
+    Returns (domain monomials, extended column list, rows), each row a
+    {column: coefficient} dict.  The columns begin with the target
+    residue's basis, in residue_basis order, followed by any truncation
+    overflow the images produce; so the data of residue k - 1 (cyclically,
+    for r >= 1) is the map into residue k, with residue k's domain as its
+    leading columns.
     """
     dom = C.residue_basis(k)
     if C.period == 0:
@@ -140,65 +142,45 @@ def _differential_data(C, k):
     else:
         cols = list(C.residue_basis((k + 1) % (2 * C.period)))
     pos = {m: i for i, m in enumerate(cols)}
-    imgs = []
+    rows = []
     for m in dom:
-        imgs.append(twisted_d(C, C.base.gens.from_exponents(m)))
-        for mm in imgs[-1].terms:
+        row = {}
+        for mm, c in twisted_d(C, C.base.gens.from_exponents(m)).terms.items():
             if mm not in pos:
                 pos[mm] = len(cols)
                 cols.append(mm)
-    rows = []
-    for img in imgs:
-        v = [Fraction(0)] * len(cols)
-        for mm, c in img.terms.items():
-            v[pos[mm]] = c
-        rows.append(v)
+            row[pos[mm]] = c
+        rows.append(row)
     return dom, cols, rows
-
-
-def _kernel_vectors(rows, ncols_domain):
-    if not rows:
-        return []
-    mat = [[rows[i][r] for i in range(len(rows))] for r in range(len(rows[0]))]
-    return _linalg.nullspace(mat, ncols_domain)
 
 
 def twisted_cohomology(C):
     """TwistedSlice per residue: exact ranks of the folded two-term complexes."""
     out = []
-    residues = C.residues()
-    for k in residues:
-        dom, cols, rows = _differential_data(C, k)
-        ker = _kernel_vectors(rows, len(dom))
-        if C.period == 0:
-            prev = k - 1
-        else:
-            prev = (k - 1) % (2 * C.period)
-        if C.period == 0 and prev < 0:
+    data = [_differential_data(C, k) for k in C.residues()]
+    for i, k in enumerate(C.residues()):
+        dom, cols, rows = data[i]
+        ker = (_linalg.nullspace(_linalg.dense_transpose(rows, len(cols)),
+                                 len(dom)) if rows else [])
+        if C.period == 0 and k == 0:
             bnd = []
         else:
-            pdom, pcols, prows = _differential_data(C, prev)
-            ppos = {m: i for i, m in enumerate(pcols)}
+            pdom, pcols, prows = data[i - 1]
+            prows = [_linalg.dense(r, len(pcols)) for r in prows]
             if C.finite:
                 reduced = _linalg.rref(prows)[0]
             else:
-                allowed = {ppos[m] for m in dom if m in ppos}
                 reduced = _linalg.intersect_with_coordinate_subspace(
-                    prows, allowed, len(pcols))
-            bnd = []
-            for v in reduced:
-                w = [Fraction(0)] * len(dom)
-                for j, m in enumerate(dom):
-                    if m in ppos:
-                        w[j] = v[ppos[m]]
-                bnd.append(w)
+                    prows, set(range(len(dom))), len(pcols))
+            bnd = [v[:len(dom)] for v in reduced]
         ech = _linalg.Echelon(len(dom))
         for v in bnd:
             ech.add(v)
         reps = []
         for v in ker:
-            res = ech.add(v)
-            if any(x != 0 for x in res):
+            dim = ech.dim
+            ech.add(v)
+            if ech.dim > dim:
                 p = C.base.zero()
                 for j, c in enumerate(v):
                     if c:
@@ -209,7 +191,33 @@ def twisted_cohomology(C):
 
 
 def twisted_cohomology_dims(C):
-    return tuple(s.dim for s in twisted_cohomology(C))
+    """Per-residue dimensions, from ranks only; equal to twisted_cohomology's.
+
+    With D_k the map out of residue k and D_prev the map into it,
+
+        dim_k = |dom_k| - rank D_k - rank D_prev
+
+    on a finite complex.  On a truncated one the boundary term is
+    rank D_prev - rank(D_prev on its overflow columns), the dimension of
+    im D_prev inside the window, which is the window twisted_cohomology
+    uses.  With period 0 residue 0 has no incoming map.  Each D_k is built
+    once and its rank taken once; no kernel basis or representative is
+    formed.
+    """
+    data = [_differential_data(C, k) for k in C.residues()]
+    ranks = [_linalg.sparse_rank(rows) for _, _, rows in data]
+    dims = []
+    for i, (dom, _, _) in enumerate(data):
+        bnd = 0
+        if C.period or i:
+            bnd = ranks[i - 1]
+            if not C.finite and bnd:
+                n = len(dom)
+                bnd -= _linalg.sparse_rank(
+                    {c: x for c, x in r.items() if c >= n}
+                    for r in data[i - 1][2])
+        dims.append(len(dom) - ranks[i] - bnd)
+    return tuple(dims)
 
 
 def twisted_is_exact(C, x, residue=None):
@@ -226,12 +234,13 @@ def twisted_is_exact(C, x, residue=None):
         prev = (k - 1) % (2 * C.period)
     pdom, pcols, prows = _differential_data(C, prev)
     ppos = {m: i for i, m in enumerate(pcols)}
-    target = [Fraction(0)] * len(pcols)
+    target = {}
     for m, c in x.terms.items():
         if m not in ppos:
             return None
         target[ppos[m]] = c
-    coeffs = _linalg.solve(prows, target)
+    coeffs = _linalg.solve([_linalg.dense(r, len(pcols)) for r in prows],
+                           _linalg.dense(target, len(pcols)))
     if coeffs is None:
         return None
     out = C.base.zero()

@@ -1,16 +1,20 @@
 """Parser round-trips, fuzzed files, exit codes, JSON schema conformance."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from ratho.cli import corpus
 from ratho.cli.main import main
-from ratho.cli.parser import ParseError, parse, print_model
+from ratho.cli.parser import MAX_NESTING, ParseError, parse, print_model
 from ratho.core_algebra import GeneratorSet, basis_of_degree
 from ratho.dgca import check_d_squared
 
@@ -362,3 +366,40 @@ def test_json_payloads_validate(argv, capsys):
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, _schema())
     assert payload["command"] == argv[0]
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratho.cli.main", "cohomology", "corpus:s4"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "H^4 = 1" in proc.stdout.splitlines()
+
+
+def _nested_differential(depth):
+    return ("algebra A {\n  gen x:2;\n  gen y:5;\n  d y = "
+            + "(" * depth + "x*x*x" + ")" * depth + ";\n}\n")
+
+
+def test_deep_nesting_is_a_located_parse_error(tmp_path, capsys):
+    assert not parse(_nested_differential(MAX_NESTING)).algebras[
+        "A"].d["y"].is_zero()
+    f = tmp_path / "deep.dgca"
+    f.write_text(_nested_differential(3000))
+    code, _, err = _run(["check", str(f)], capsys)
+    assert code == 2
+    col = len("  d y = ") + MAX_NESTING + 1
+    assert ("parse error: 4:%d: parentheses nested deeper than %d"
+            % (col, MAX_NESTING)) in err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "latin1.dgca"
+    f.write_bytes("# modèle\nalgebra A { gen x:2; }\n".encode("latin-1"))
+    code, _, err = _run(["check", str(f)], capsys)
+    assert code == 2
+    assert "cannot read %s: not valid UTF-8" % f in err

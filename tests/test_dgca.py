@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _dense_oracle
+from ratho.cli import corpus
 from ratho.core_algebra import (
     AlgebraMorphism,
     basis_of_degree,
@@ -23,6 +24,7 @@ from ratho.dgca import (
     is_quasi_iso,
     tensor,
 )
+from ratho.simplicial_forms import CylinderAlgebra, SimplexAlgebra
 
 
 def _sphere_odd(n):
@@ -279,3 +281,50 @@ def test_polybound_poincare_property():
     w = (t * t * t) * dt
     q = is_exact(I, w, polybound=4)
     assert q is not None and apply_d(I, q) == w
+
+
+# -- rank-only dimensions against the representative path ---------------------
+
+def _dims_by_representatives(A, degrees, polybound=None):
+    return {s.degree: s.dim for s in cohomology(A, degrees, polybound)}
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_cohomology_dims_match_representatives_on_corpus(name):
+    A = corpus.algebra(name)
+    assert (cohomology_dims(A, (0, 8), polybound=3)
+            == _dims_by_representatives(A, (0, 8), polybound=3))
+
+
+def _inert_parameter():
+    # d keeps the degree-0 exponent, so boundaries reach outside the window
+    A = DGCA([("t", 0), ("x", 1), ("y", 2)])
+    return DGCA(A.gens, d={"x": A.gen("y")})
+
+
+@pytest.mark.parametrize("polybound", [1, 2, 3, 5])
+@pytest.mark.parametrize("degrees", [(0, 4), (2, 3), (3, 3), (4, 2)])
+def test_cohomology_dims_match_representatives_when_bounded(polybound,
+                                                           degrees):
+    for A in (SimplexAlgebra(2).algebra, CylinderAlgebra(_s4()).algebra,
+              _inert_parameter()):
+        assert (cohomology_dims(A, degrees, polybound)
+                == _dims_by_representatives(A, degrees, polybound))
+
+
+def _leaves_slice():
+    # d x = t*y raises the degree-0 exponent, so d leaves every truncation
+    A = DGCA([("t", 0), ("x", 1), ("y", 2)])
+    return DGCA(A.gens, d={"x": A.gen("t") * A.gen("y")})
+
+
+@pytest.mark.parametrize("build,polybound", [
+    (_interval, None), (_interval, 0), (_interval, -1), (_leaves_slice, 2),
+])
+def test_cohomology_dims_raise_what_cohomology_raises(build, polybound):
+    A = build()
+    with pytest.raises(Exception) as want:
+        cohomology(A, (0, 3), polybound)
+    with pytest.raises(want.type) as got:
+        cohomology_dims(A, (0, 3), polybound)
+    assert str(got.value) == str(want.value)

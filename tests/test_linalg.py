@@ -72,6 +72,19 @@ def test_rref_and_rank_match_dense(m):
 
 @settings(max_examples=100, deadline=None)
 @given(_matrix())
+def test_sparse_rank_and_dense_round_trip_match_dense(m):
+    rows, ncols = m
+    sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    before = copy.deepcopy(sparse_rows)
+    assert sparse.sparse_rank(sparse_rows) == dense.rank(rows)
+    assert sparse_rows == before
+    assert [sparse.dense(r, ncols) for r in sparse_rows] == rows
+    assert (sparse.dense_transpose(sparse_rows, ncols)
+            == [[row[c] for row in rows] for c in range(ncols)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix())
 def test_nullspace_matches_dense(m):
     rows, ncols = m
     assert sparse.nullspace(rows, ncols) == dense.nullspace(rows, ncols)

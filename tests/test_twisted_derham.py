@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _dense_oracle
+from ratho.cli import corpus
 from ratho.core_algebra import basis_of_degree
 from ratho.dgca import DGCA, apply_d, cohomology_dims
 from ratho.twisted_derham import (
@@ -257,3 +258,55 @@ def test_degree_one_twist_not_periodic():
     assert twisted_cohomology_dims(C) == (0, 0)
     C0 = TwistedComplex(A, A.zero(), period=0)
     assert twisted_cohomology_dims(C0) == (1, 1)
+
+
+# -- rank-only dimensions against the representative path ---------------------
+
+def _corpus_twisted(name, truncation=None):
+    mf = corpus.load(name)
+    t = mf.twists["H"]
+    return TwistedComplex(mf.algebras[t.algebra], t.form,
+                          truncation=truncation)
+
+
+def _truncated_even(truncation):
+    A = DGCA([("w3", 3), ("c4", 4)])
+    return TwistedComplex(A, A.gen("w3"), truncation=truncation)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _corpus_twisted("s3"),
+    lambda: _corpus_twisted("t3"),
+    lambda: _truncated_even(8),
+    lambda: _truncated_even(11),
+    lambda: TwistedComplex(_torus(), _torus().gen("x")),
+    lambda: TwistedComplex(DGCA([("x", 1), ("c", 2)]),
+                           DGCA([("x", 1), ("c", 2)]).gen("x"), truncation=5),
+    lambda: TwistedComplex(_torus(), _torus().zero(), period=0),
+    lambda: TwistedComplex(_su2(), _su2().zero(), period=2),
+])
+def test_dims_match_representatives(build):
+    C = build()
+    assert twisted_cohomology_dims(C) == tuple(
+        s.dim for s in twisted_cohomology(C))
+
+
+@st.composite
+def _closed_odd_twists(draw):
+    """A torus T^4 or T^5 and a random odd-degree twist (closed: d = 0)."""
+    n = draw(st.sampled_from([4, 5]))
+    A = DGCA([("x%d" % i, 1) for i in range(n)])
+    degree = draw(st.sampled_from([1, 3, 5] if n == 5 else [1, 3]))
+    H = A.zero()
+    for m in basis_of_degree(A.gens, degree):
+        c = draw(st.integers(-2, 2))
+        if c:
+            H = H + A.gens.from_exponents(m, c)
+    return TwistedComplex(A, H, period=(degree - 1) // 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_closed_odd_twists())
+def test_dims_match_representatives_on_random_torus_twists(C):
+    assert twisted_cohomology_dims(C) == tuple(
+        s.dim for s in twisted_cohomology(C))
