@@ -7,7 +7,7 @@ from .chern_weil import (CurvatureMatrix, InvRing, block_sum,
                          chern_character, chern_forms, determinant,
                          diagonal_matrix, euler_form, i8, inv_ring_sp2,
                          pfaffian, pontrjagin_forms)
-from .character import (ConcordanceDatum, FlatFormDatum,
+from .character import (ConcordanceDatum, FlatFormDatum, NotConcordant,
                         TwistedFlatFormDatum, constant_concordance,
                         decide_concordance, line_algebra, line_datum,
                         line_quotient, linear_concordance, preset_twistorial,

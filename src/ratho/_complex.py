@@ -1,0 +1,220 @@
+"""Finite graded cochain complexes: the linear algebra under cohomology.
+
+Ordinary cohomology of a DGCA (graded by degree, dgca._slices) and twisted
+de Rham cohomology (graded by residue, twisted_derham._residues) are both
+computed here.  A grading adapter supplies, for each grade k, basis(k), a
+finite list of monomials in a fixed order; window(m), whether a monomial
+lies in the cocycle window (None: every monomial does); shift(k, s), the
+grade s steps away, so d maps grade k to shift(k, 1); and d(m), the
+differential of one monomial.
+
+Window and overflow rule.  The columns of grade k are basis(k) followed
+by its overflow: the monomials outside basis(k) that d of a monomial of
+grade shift(k, -1) produces, in order of first appearance.  An adapter
+without overflow raises "element leaves the truncated slice" instead.
+Cocycles of grade k are the kernel of d on the window monomials of
+basis(k), against their full images, overflow included.  Boundaries are
+the image of d on all of basis(shift(k, -1)) intersected with the span of
+the window coordinates of grade k: the image directions with any entry on
+a coordinate outside the window, overflow or not, are cut.  So
+dim H^k = dim cocycles - dim boundaries, and without a window or overflow
+this is plain cohomology.
+
+Each basis and each monomial's row of d is built once per instance, on
+first use.  An instance serves one computation: the objects it reads
+(DGCA.d in particular) are mutable, so nothing is kept on them.
+"""
+
+from collections import namedtuple
+
+from . import _linalg
+from .core_algebra import Polynomial
+
+LEAVES = "element leaves the truncated slice"
+
+# kernel and boundaries are vectors over basis(k); for each new class,
+# representatives holds the cocycle reduced modulo the boundaries and the
+# classes before it, cocycles the kernel vector it came from
+Homology = namedtuple("Homology",
+                      "kernel boundaries representatives cocycles")
+
+
+def _once(method):
+    """Memoize a method per instance, keyed on its arguments."""
+    def memoized(self, *args):
+        key = (method.__name__,) + args
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return memoized
+
+
+class Complex:
+    """A finite graded cochain complex fed by a grading adapter."""
+
+    def __init__(self, gens, basis, shift, d, window=None, overflow=False):
+        self.gens = gens
+        self._basis = basis
+        self._shift = shift
+        self._d = d
+        self._in_window = window
+        self._overflow = overflow
+        self._memo = {}
+
+    @_once
+    def basis(self, k):
+        return self._basis(k)
+
+    @_once
+    def window(self, k):
+        """Positions in basis(k) of the cocycle window."""
+        basis = self.basis(k)
+        if self._in_window is None:
+            return range(len(basis))
+        return [i for i, m in enumerate(basis) if self._in_window(m)]
+
+    @_once
+    def _columns(self, k):
+        """Column monomials of grade k (grown by overflow) and positions."""
+        cols = list(self.basis(k))
+        return cols, {m: i for i, m in enumerate(cols)}
+
+    def _rows(self, k, positions):
+        """Sparse rows {column: coefficient} of d on basis(k)[i], i in
+        positions, each built on first use."""
+        memo = self._memo.setdefault(("rows", k), {})
+        missing = [i for i in positions if i not in memo]
+        if missing:
+            basis = self.basis(k)
+            cols, pos = self._columns(self._shift(k, 1))
+            for i in missing:
+                row = {}
+                for m, c in self._d(basis[i]).terms.items():
+                    j = pos.get(m)
+                    if j is None:
+                        if not self._overflow:
+                            raise ValueError(LEAVES)
+                        j = pos[m] = len(cols)
+                        cols.append(m)
+                    row[j] = c
+                memo[i] = row
+        return [memo[i] for i in positions]
+
+    def _incoming(self, k):
+        """Rows of d on all of the previous grade, and grade k's width."""
+        j = self._shift(k, -1)
+        rows = self._rows(j, range(len(self.basis(j))))
+        return rows, len(self._columns(k)[0])
+
+    def dims(self, k):
+        """dim H^k from ranks of d alone; no kernel basis is formed.
+
+        The boundaries inside the window have dimension rank d_in minus
+        the rank of d_in's rows restricted to the columns outside it.
+        """
+        window = self.window(k)
+        cycles = len(window) - _linalg.sparse_rank(self._rows(k, window))
+        rows, ncols = self._incoming(k)
+        bnd = _linalg.sparse_rank(rows)
+        if bnd and len(window) < ncols:
+            inside = set(window)
+            bnd -= _linalg.sparse_rank(
+                {c: x for c, x in r.items() if c not in inside} for r in rows)
+        return cycles - bnd
+
+    @_once
+    def kernel(self, k):
+        """Basis of the cocycles of grade k, as vectors over basis(k)."""
+        window = self.window(k)
+        rows = self._rows(k, window)
+        if not rows:
+            return []
+        ncols = len(self._columns(self._shift(k, 1))[0])
+        nb = len(self.basis(k))
+        out = []
+        # columns of the system are the d-images of the window monomials
+        for v in _linalg.nullspace(_linalg.dense_transpose(rows, ncols),
+                                   len(rows)):
+            big = [_linalg.ZERO] * nb
+            for i, c in zip(window, v):
+                big[i] = c
+            out.append(big)
+        return out
+
+    @_once
+    def boundaries(self, k):
+        """Basis of the boundaries inside the window, over basis(k)."""
+        rows, ncols = self._incoming(k)
+        nb = len(self.basis(k))
+        return [v[:nb] for v in _linalg.intersect_with_coordinate_subspace(
+            [_linalg.dense(r, ncols) for r in rows], set(self.window(k)),
+            ncols)]
+
+    def echelon(self, k):
+        """A new Echelon spanned by the boundaries of grade k."""
+        ech = _linalg.Echelon(len(self.basis(k)))
+        for v in self.boundaries(k):
+            ech.add(v)
+        return ech
+
+    def homology(self, k):
+        """Kernel, boundaries and one canonical class per new cocycle."""
+        kernel = self.kernel(k)
+        ech = self.echelon(k)
+        reps, cocycles = [], []
+        for v in kernel:
+            dim = ech.dim
+            r = ech.add(v)
+            if ech.dim > dim:
+                reps.append(self.poly(k, r))
+                cocycles.append(self.poly(k, v))
+        return Homology(kernel, self.boundaries(k), reps, cocycles)
+
+    def primitive(self, k, p):
+        """y of grade shift(k, -1) with d(y) = p, or None if none exists."""
+        rows, ncols = self._incoming(k)
+        pos = self._columns(k)[1]
+        target = {}
+        for m, c in p.terms.items():
+            if m not in pos:
+                if not self._overflow:
+                    raise ValueError(LEAVES)
+                return None
+            target[pos[m]] = c
+        x = _linalg.solve([_linalg.dense(r, ncols) for r in rows],
+                          _linalg.dense(target, ncols))
+        return None if x is None else self.poly(self._shift(k, -1), x)
+
+    @_once
+    def _key_echelon(self, k):
+        return self.echelon(k)
+
+    def class_key(self, k, p):
+        """Canonical key of p's class: its residue modulo the boundaries."""
+        return tuple(self._key_echelon(k).reduce(self.vector(k, p)))
+
+    def vector(self, k, p):
+        """Dense coordinates of p over basis(k)."""
+        nb = len(self.basis(k))
+        pos = self._columns(k)[1]
+        v = [_linalg.ZERO] * nb
+        for m, c in p.terms.items():
+            i = pos.get(m, nb)
+            if i >= nb:
+                raise ValueError(LEAVES)
+            v[i] = c
+        return v
+
+    def poly(self, k, v):
+        """The polynomial with coordinates v over basis(k)."""
+        basis = self.basis(k)
+        return Polynomial(self.gens,
+                          {basis[i]: c for i, c in enumerate(v) if c})
+
+    def combine(self, k, coeffs, vectors):
+        """The polynomial sum(c * v) over basis(k)."""
+        total = [_linalg.ZERO] * len(self.basis(k))
+        for c, v in zip(coeffs, vectors):
+            if c:
+                total = [a + c * b for a, b in zip(total, v)]
+        return self.poly(k, total)

@@ -24,19 +24,22 @@ the form-side derivative falls short of what the coefficients demand.
 import itertools
 from fractions import Fraction
 
-from . import _linalg
 from .core_algebra import (
     AlgebraMorphism,
     apply_morphism,
-    basis_of_degree,
     gens_of,
     morphism_by_names,
 )
-from .dgca import DGCA, apply_d, is_exact, _slice_cohomology
+from .dgca import DGCA, _slices, apply_d, is_exact
 from .minimal_model import RelativeExtension, _relative_sullivan
 from .simplicial_forms import CylinderAlgebra, fiber_integrate
-from .twisted_derham import TwistedComplex, twisted_d, twisted_is_exact
+from .twisted_derham import (TwistedComplex, _residues, twisted_d,
+                             twisted_is_exact)
 from .chern_weil import inv_ring_sp2
+
+
+class NotConcordant(ValueError):
+    """Two data provably have no concordance: their classes differ."""
 
 
 class FlatFormDatum:
@@ -287,6 +290,58 @@ def reverse_concordance(ccd):
                             ccd.bundle, ccd.twist)
 
 
+def _form(datum, names):
+    """The sum of a datum's images of the given coefficient generators."""
+    out = datum.target.zero()
+    for name in names:
+        out = out + datum.image(name)
+    return out
+
+
+def _certify_classes(classes, names, d, primitive, concordance, kind,
+                     exact):
+    """Certify a grouping of flat data into concordance classes, both ways.
+
+    classes maps a class key to its member data; a datum's form is the sum
+    of its images of names, d is the target's differential and
+    primitive(x) a y with d(y) = x, or None.  Within a class,
+    concordance(d0, d1, witness) joins each member to the first; it is
+    verified and its fiber-integrated witness re-checked against the
+    difference of forms.  Across classes, the differences of first members
+    must have no primitive: all pairs up to 16 classes, else a chain and a
+    star.  Returns (concordances, refusals).
+    """
+    concordances = refusals = 0
+    for members in classes.values():
+        d0 = members[0]
+        if not verify_concordance(constant_concordance(d0)).passed:
+            raise RuntimeError("constant concordance failed verification")
+        for d1 in members[1:]:
+            diff = _form(d1, names) - _form(d0, names)
+            ccd = concordance(d0, d1, primitive(diff))
+            if not verify_concordance(ccd).passed:
+                raise RuntimeError("%s concordance failed verification" % kind)
+            h = d0.target.zero()
+            for name in names:
+                h = h + fiber_integrate(ccd.cylinder, ccd.image(name))
+            if not (d(h) - diff).is_zero():
+                raise RuntimeError("extracted witness does not integrate "
+                                   "the endpoint difference")
+            concordances += 1
+    reps = [members[0] for members in classes.values()]
+    if len(reps) <= 16:
+        pairs = list(itertools.combinations(range(len(reps)), 2))
+    else:
+        pairs = [(i, i + 1) for i in range(len(reps) - 1)]
+        pairs += [(0, i) for i in range(2, len(reps))]
+    for i, j in pairs:
+        if primitive(_form(reps[j], names)
+                     - _form(reps[i], names)) is not None:
+            raise RuntimeError("distinct classes had %s difference" % exact)
+        refusals += 1
+    return concordances, refusals
+
+
 # -- line coefficients -------------------------------------------------------
 
 def line_algebra(n):
@@ -328,7 +383,7 @@ def linear_concordance(f0, f1, h=None, polybound=None):
     if h is None:
         h = is_exact(omega, diff, polybound)
         if h is None:
-            raise ValueError(
+            raise NotConcordant(
                 "difference of the endpoint forms is not exact; "
                 "no concordance exists")
     elif not (apply_d(omega, h) - diff).is_zero():
@@ -383,50 +438,24 @@ def line_quotient(omega, n, lattice, polybound=None):
     is refuted.  Classes therefore coincide with cohomology classes.
     """
     lattice = [Fraction(v) for v in lattice]
-    sl, ker, bnd, _ = _slice_cohomology(omega, n + 1, polybound)
-    ech = _linalg.Echelon(len(sl.basis))
-    for v in bnd:
-        ech.add(v)
-    h_dim = len(ker) - ech.dim
+    k = n + 1
+    cx = _slices(omega, polybound)
+    h = cx.homology(k)
     classes = {}
-    for combo in itertools.product(lattice, repeat=len(ker)):
-        vec = [Fraction(0)] * len(sl.basis)
-        for lam, kv in zip(combo, ker):
-            if lam:
-                vec = [a + lam * b for a, b in zip(vec, kv)]
-        key = tuple(ech.reduce(vec))
-        classes.setdefault(key, []).append(sl.poly(vec))
+    for combo in itertools.product(lattice, repeat=len(h.kernel)):
+        p = cx.combine(k, combo, h.kernel)
+        classes.setdefault(cx.class_key(k, p), []).append(p)
     reps = [members[0] for members in classes.values()]
-    concordances = refusals = witness_checks = 0
-    cname = line_algebra(n).gens.names[0]
-    for members in classes.values():
-        rep0 = members[0]
-        d0 = line_datum(omega, n, rep0)
-        if not verify_concordance(constant_concordance(d0)).passed:
-            raise RuntimeError("constant concordance failed verification")
-        for m in members[1:]:
-            ccd = linear_concordance(d0, line_datum(omega, n, m),
-                                     polybound=polybound)
-            if not verify_concordance(ccd).passed:
-                raise RuntimeError("linear concordance failed verification")
-            h = fiber_integrate(ccd.cylinder, ccd.image(cname))
-            if not (apply_d(omega, h) - (m - rep0)).is_zero():
-                raise RuntimeError("extracted witness does not integrate "
-                                   "the endpoint difference")
-            concordances += 1
-            witness_checks += 1
-    # refute concordance across class representatives
-    if len(reps) <= 16:
-        pairs = list(itertools.combinations(range(len(reps)), 2))
-    else:
-        pairs = [(i, i + 1) for i in range(len(reps) - 1)]
-        pairs += [(0, i) for i in range(2, len(reps))]
-    for i, j in pairs:
-        if is_exact(omega, reps[j] - reps[i], polybound) is not None:
-            raise RuntimeError("distinct classes had an exact difference")
-        refusals += 1
-    return LineQuotientResult(classes, reps, h_dim, lattice, concordances,
-                              refusals, witness_checks)
+    data = {key: [line_datum(omega, n, p) for p in members]
+            for key, members in classes.items()}
+    concordances, refusals = _certify_classes(
+        data, line_algebra(n).gens.names, lambda y: apply_d(omega, y),
+        lambda x: cx.primitive(k, x),
+        lambda d0, d1, w: linear_concordance(d0, d1, w, polybound),
+        "linear", "an exact")
+    return LineQuotientResult(classes, reps,
+                              len(h.kernel) - len(h.boundaries), lattice,
+                              concordances, refusals, concordances)
 
 
 # -- the h3-twisted periodic family ------------------------------------------
@@ -454,13 +483,6 @@ def _twist_form(T):
     return T.twist.image(name)
 
 
-def _new_total(T):
-    out = T.target.zero()
-    for name in T.bundle.new_names:
-        out = out + T.image(name)
-    return out
-
-
 def twisted_linear_concordance(t0d, t1d, witness=None, complex_=None):
     """Concordance between two data of the h3-twisted periodic family.
 
@@ -482,11 +504,12 @@ def twisted_linear_concordance(t0d, t1d, witness=None, complex_=None):
     H = _twist_form(t0d)
     if complex_ is None:
         complex_ = TwistedComplex(omega, H)
-    diff = _new_total(t1d) - _new_total(t0d)
+    names = t0d.bundle.new_names
+    diff = _form(t1d, names) - _form(t0d, names)
     if witness is None:
         witness = twisted_is_exact(complex_, diff)
         if witness is None:
-            raise ValueError(
+            raise NotConcordant(
                 "twisted classes of the endpoints differ; "
                 "no concordance exists")
     elif not (twisted_d(complex_, witness) - diff).is_zero():
@@ -538,45 +561,6 @@ class TwistedQuotientResult:
                                   self.refusals))
 
 
-def _odd_basis(omega):
-    top = sum(omega.gens.degrees)
-    basis = []
-    for deg in range(1, top + 1, 2):
-        basis.extend(omega.gens.from_exponents(m)
-                     for m in basis_of_degree(omega.gens, deg))
-    return basis
-
-
-def _even_monomials(omega):
-    top = sum(omega.gens.degrees)
-    out = []
-    for deg in range(0, top + 1, 2):
-        out.extend(omega.gens.from_exponents(m)
-                   for m in basis_of_degree(omega.gens, deg))
-    return out
-
-
-class _OddClassKeys:
-    """Canonical keys for odd twisted classes of a finite target."""
-
-    def __init__(self, complex_):
-        omega = complex_.base
-        self.basis = _odd_basis(omega)
-        self.pos = {next(iter(b.terms)): i for i, b in enumerate(self.basis)}
-        self.ech = _linalg.Echelon(len(self.basis))
-        for b in _even_monomials(omega):
-            self.ech.add(self._vector(twisted_d(complex_, b)))
-
-    def _vector(self, p):
-        v = [Fraction(0)] * len(self.basis)
-        for m, c in p.terms.items():
-            v[self.pos[m]] = c
-        return v
-
-    def key(self, p):
-        return tuple(self.ech.reduce(self._vector(p)))
-
-
 def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     """Concordance classes of lattice data in the h3-twisted family.
 
@@ -596,6 +580,8 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     C = TwistedComplex(omega, twist_form)
     top = sum(omega.gens.degrees)
     levels = [bundle.total.gens.degree_of(n) for n in bundle.new_names]
+    slices = _slices(omega, None)
+    residues = _residues(C)
 
     def extend(images, idx):
         if idx == len(levels):
@@ -619,66 +605,39 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
         if source.is_zero():
             particular = omega.zero()
         else:
-            particular = is_exact(omega, source)
+            particular = slices.primitive(deg, source)
             if particular is None:
                 raise ValueError(
                     "lattice datum admits no flat extension at level %d"
                     % deg)
-        sl, ker, _, _ = _slice_cohomology(omega, deg, None)
-        for combo in itertools.product(lattice, repeat=len(ker)):
+        closed = [slices.poly(deg, v) for v in slices.kernel(deg)]
+        for combo in itertools.product(lattice, repeat=len(closed)):
             p = particular
-            for lam, kv in zip(combo, ker):
+            for lam, z in zip(combo, closed):
                 if lam:
-                    p = p + lam * sl.poly(kv)
+                    p = p + lam * z
             images[name] = p
             for out in extend(images, idx + 1):
                 yield out
 
-    keys = _OddClassKeys(C)
     classes = {}
-    data = []
     for images in extend({}, 0):
         assignment = dict(images)
         assignment["h3"] = twist_form
         datum = TwistedFlatFormDatum(bundle, twist, assignment)
         if not verify_twisted_flat(datum).passed:
             raise RuntimeError("enumerated datum failed verification")
-        data.append(datum)
-        total = _new_total(datum)
-        classes.setdefault(keys.key(total), []).append(datum)
-    reps = [members[0] for members in classes.values()]
-    concordances = refusals = witness_checks = 0
-    for members in classes.values():
-        d0 = members[0]
-        if not verify_concordance(constant_concordance(d0)).passed:
-            raise RuntimeError("constant concordance failed verification")
-        for d1 in members[1:]:
-            ccd = twisted_linear_concordance(d0, d1, complex_=C)
-            if not verify_concordance(ccd).passed:
-                raise RuntimeError("twisted concordance failed verification")
-            h = omega.zero()
-            for name in bundle.new_names:
-                h = h + fiber_integrate(ccd.cylinder, ccd.image(name))
-            diff = _new_total(d1) - _new_total(d0)
-            if not (twisted_d(C, h) - diff).is_zero():
-                raise RuntimeError("extracted witness does not integrate "
-                                   "the endpoint difference")
-            concordances += 1
-            witness_checks += 1
-    if len(reps) <= 16:
-        pairs = list(itertools.combinations(range(len(reps)), 2))
-    else:
-        pairs = [(i, i + 1) for i in range(len(reps) - 1)]
-        pairs += [(0, i) for i in range(2, len(reps))]
-    for i, j in pairs:
-        diff = _new_total(reps[j]) - _new_total(reps[i])
-        if twisted_is_exact(C, diff) is not None:
-            raise RuntimeError("distinct classes had a twisted-exact "
-                               "difference")
-        refusals += 1
-    rep_forms = [_new_total(r) for r in reps]
+        total = _form(datum, bundle.new_names)
+        classes.setdefault(residues.class_key(1, total), []).append(datum)
+    concordances, refusals = _certify_classes(
+        classes, bundle.new_names, lambda y: twisted_d(C, y),
+        lambda x: residues.primitive(1, x),
+        lambda d0, d1, w: twisted_linear_concordance(d0, d1, w, C),
+        "twisted", "a twisted-exact")
+    rep_forms = [_form(members[0], bundle.new_names)
+                 for members in classes.values()]
     return TwistedQuotientResult(classes, rep_forms, C, lattice,
-                                 concordances, refusals, witness_checks)
+                                 concordances, refusals, concordances)
 
 
 def decide_concordance(f0, f1, polybound=None):
@@ -695,10 +654,8 @@ def decide_concordance(f0, f1, polybound=None):
     if isinstance(f0, TwistedFlatFormDatum):
         try:
             ccd = twisted_linear_concordance(f0, f1)
-        except ValueError as e:
-            if "no concordance exists" in str(e):
-                return None
-            raise
+        except NotConcordant:
+            return None
     else:
         try:
             _line_generator(f0)
@@ -709,10 +666,8 @@ def decide_concordance(f0, f1, polybound=None):
                 "data support verification only")
         try:
             ccd = linear_concordance(f0, f1, polybound=polybound)
-        except ValueError as e:
-            if "no concordance exists" in str(e):
-                return None
-            raise
+        except NotConcordant:
+            return None
     if not verify_concordance(ccd).passed:
         raise RuntimeError("constructed concordance failed verification")
     return ccd

@@ -5,14 +5,13 @@ assignment on generators, each d(g) homogeneous of degree |g|+1 (or zero),
 extended to everything as a graded derivation.  d*d = 0 is a certified
 property (check_d_squared), not a constructor assumption.
 
-Cohomology is computed degreewise by sparse exact-rational row reduction
-(ratho._linalg) that pivots on the lowest nonzero column.  Reduced row
-echelon form is unique, so representatives are reproducible across runs
-and do not depend on how the elimination is carried out.  The rows of d
-are built sparse, by one builder (_d_rows); cohomology, is_exact and
-is_quasi_iso densify them for the representative and witness routines,
-while cohomology_dims only takes ranks of them and never forms a kernel
-basis or a representative.
+Cohomology is computed degreewise on the finite complex of A's slices
+(_slices, a grading adapter over ratho._complex), by sparse exact-rational
+row reduction (ratho._linalg) that pivots on the lowest nonzero column.
+Reduced row echelon form is unique, so representatives are reproducible
+across runs and do not depend on how the elimination is carried out.
+cohomology_dims only takes ranks and never forms a kernel basis or a
+representative.
 
 Truncation semantics for algebras with degree-0 generators (interval,
 simplex and cylinder algebras): the differential never raises the total
@@ -25,9 +24,7 @@ algebras every closed positive-degree element of polynomial degree < D
 is exact (Poincare lemma at truncation scale).
 """
 
-from fractions import Fraction
-
-from . import _linalg
+from ._complex import Complex
 from .core_algebra import (
     GeneratorSet,
     Polynomial,
@@ -154,106 +151,30 @@ def check_d_squared(A):
 # -- slice linear algebra -------------------------------------------------
 
 
-def _zero_degree_exponent(gens, m):
-    return sum(e for e, d in zip(m, gens.degrees) if d == 0)
+def _slices(A, polybound):
+    """The finite complex of A's polynomial-degree slices, by degree.
 
-
-class _Slice:
-    """Linear-algebra data of one cohomological degree.
-
-    basis indexes the witness-budget slice (polynomial degree <= D); the
-    window is the sub-list of coordinates within budget D-1, where cocycles
-    live.  Without degree-0 generators window == everything.
+    Degree n's basis is its slice (polynomial degree <= D), its window the
+    monomials within budget D-1, where cocycles live; without degree-0
+    generators the window is everything.  d leaving the slice is an error.
     """
+    gens = A.gens
+    bounded = any(d == 0 for d in gens.degrees)
 
-    def __init__(self, A, n, polybound):
-        self.A = A
-        self.n = n
-        self.polybound = polybound
-        gens = A.gens
-        bounded = any(d == 0 for d in gens.degrees)
+    def basis(n):
         if bounded and (polybound is None or polybound < 1):
             # basis_of_degree raises the canonical error for None
             basis_of_degree(gens, max(n, 0), polybound)
             raise ValueError("polybound must be >= 1")
-        self.bounded = bounded
-        self.basis = basis_of_degree(gens, n, polybound) if n >= 0 else []
-        self.pos = {m: i for i, m in enumerate(self.basis)}
-        if bounded:
-            self.window = [i for i, m in enumerate(self.basis)
-                           if _zero_degree_exponent(gens, m) <= polybound - 1]
-        else:
-            self.window = list(range(len(self.basis)))
+        return basis_of_degree(gens, n, polybound) if n >= 0 else []
 
-    def row(self, p):
-        """Sparse coordinates {index: coefficient} of p in this slice."""
-        out = {}
-        for m, c in p.terms.items():
-            if m not in self.pos:
-                raise ValueError("element leaves the truncated slice")
-            out[self.pos[m]] = c
-        return out
+    def in_window(m):
+        zero_exponent = sum(e for e, d in zip(m, gens.degrees) if d == 0)
+        return zero_exponent <= polybound - 1
 
-    def vector(self, p):
-        return _linalg.dense(self.row(p), len(self.basis))
-
-    def poly(self, v):
-        out = self.A.gens.zero()
-        for i, c in enumerate(v):
-            if c:
-                out = out + self.A.gens.from_exponents(self.basis[i], c)
-        return out
-
-
-def _d_rows(A, monomials, target):
-    """Sparse rows of d on the given monomials, in the target slice."""
-    return [target.row(apply_d(A, A.gens.from_exponents(m)))
-            for m in monomials]
-
-
-def _slice_cohomology(A, n, polybound):
-    """Kernel, boundary and representative data in degree n.
-
-    Returns (slice_n, ker_vectors, boundary_vectors, rep_vectors) where
-    boundary_vectors spans im(d) intersected with the cocycle window.
-    """
-    sl = _Slice(A, n, polybound)
-    sl_up = _Slice(A, n + 1, polybound)
-    # cocycles: kernel of d restricted to the window coordinates
-    rows = _d_rows(A, [sl.basis[i] for i in sl.window], sl_up)
-    if rows:
-        # columns of the system are the d-images of the window monomials
-        mat = _linalg.dense_transpose(rows, len(sl_up.basis))
-        ker_small = _linalg.nullspace(mat, len(rows))
-    else:
-        ker_small = []
-    ker = []
-    for v in ker_small:
-        big = [Fraction(0)] * len(sl.basis)
-        for local, c in enumerate(v):
-            big[sl.window[local]] = c
-        ker.append(big)
-    # boundaries landing inside the window
-    sl_dn = _Slice(A, n - 1, polybound)
-    img = [_linalg.dense(r, len(sl.basis))
-           for r in _d_rows(A, sl_dn.basis, sl)]
-    if sl.bounded:
-        window_set = set(sl.window)
-        bnd = _linalg.intersect_with_coordinate_subspace(
-            img, window_set, len(sl.basis))
-    else:
-        bnd = _linalg.rref(img)[0]
-    # representatives: kernel vectors reduced modulo the boundaries
-    ech = _linalg.Echelon(len(sl.basis))
-    for v in bnd:
-        ech.add(v)
-    reps = []
-    for v in ker:
-        dim = ech.dim
-        r = ech.add(v)
-        if ech.dim > dim:
-            reps.append(r)
-    return sl, ker, bnd, reps
+    return Complex(gens, basis, lambda n, s: n + s,
+                   lambda m: apply_d(A, gens.from_exponents(m)),
+                   in_window if bounded else None)
 
 
 class CohomologySlice:
@@ -271,44 +192,24 @@ class CohomologySlice:
 def cohomology(A, degrees, polybound=None):
     """CohomologySlice list over an inclusive degree range (lo, hi)."""
     lo, hi = degrees
+    cx = _slices(A, polybound)
     out = []
     for n in range(lo, hi + 1):
-        sl, ker, bnd, reps = _slice_cohomology(A, n, polybound)
-        out.append(CohomologySlice(n, len(ker) - len(bnd),
-                                   [sl.poly(v) for v in reps]))
+        h = cx.homology(n)
+        out.append(CohomologySlice(n, len(h.kernel) - len(h.boundaries),
+                                   h.representatives))
     return out
 
 
 def cohomology_dims(A, degrees, polybound=None):
     """{n: dim H^n} over an inclusive degree range (lo, hi), from ranks only.
 
-    With d_n the map from degree n to degree n+1 and window_n the cocycle
-    window (everything when there are no degree-0 generators),
-
-        dim H^n = (|window_n| - rank d_n|window_n) - b_n,
-
-    where b_n, the dimension of the boundaries inside the window, is
-    rank d_{n-1} without degree-0 generators and otherwise
-    rank d_{n-1} - rank(d_{n-1} on the columns outside window_n): the
-    dimension of im d_{n-1} intersected with the window's coordinates.
-    Each degree builds the rows that cohomology builds, so the answers and
-    errors are the same; no kernel basis or representative is formed.
+    It builds the rows cohomology builds, so the answers and errors are the
+    same; no kernel basis or representative is formed.
     """
     lo, hi = degrees
-    dims = {}
-    for n in range(lo, hi + 1):
-        sl = _Slice(A, n, polybound)
-        sl_up = _Slice(A, n + 1, polybound)
-        cycles = len(sl.window) - _linalg.sparse_rank(
-            _d_rows(A, [sl.basis[i] for i in sl.window], sl_up))
-        d_in = _d_rows(A, _Slice(A, n - 1, polybound).basis, sl)
-        bnd = _linalg.sparse_rank(d_in)
-        if sl.bounded and bnd:
-            window = set(sl.window)
-            bnd -= _linalg.sparse_rank(
-                {c: x for c, x in r.items() if c not in window} for r in d_in)
-        dims[n] = cycles - bnd
-    return dims
+    cx = _slices(A, polybound)
+    return {n: cx.dims(n) for n in range(lo, hi + 1)}
 
 
 def is_exact(A, p, polybound=None):
@@ -323,19 +224,7 @@ def is_exact(A, p, polybound=None):
         raise NotClosedError("is_exact wants a homogeneous element")
     if not apply_d(A, p).is_zero():
         raise NotClosedError("element is not closed")
-    n = p.degree()
-    sl = _Slice(A, n, polybound)
-    sl_dn = _Slice(A, n - 1, polybound)
-    rows = [_linalg.dense(r, len(sl.basis))
-            for r in _d_rows(A, sl_dn.basis, sl)]
-    coeffs = _linalg.solve(rows, sl.vector(p))
-    if coeffs is None:
-        return None
-    out = A.gens.zero()
-    for c, m in zip(coeffs, sl_dn.basis):
-        if c:
-            out = out + A.gens.from_exponents(m, c)
-    return out
+    return _slices(A, polybound).primitive(p.degree(), p)
 
 
 def is_chain_map(phi):
@@ -368,21 +257,21 @@ def is_quasi_iso(phi, degrees, polybound=None):
         name = failures[0][0]
         raise ChainMapError("not a chain map at generator %r" % name, name)
     lo, hi = degrees
+    source = _slices(phi.source, polybound)
+    target = _slices(phi.target, polybound)
     reports = []
     all_ok = True
     for n in range(lo, hi + 1):
-        ssl, sker, sbnd, sreps = _slice_cohomology(phi.source, n, polybound)
-        tsl, tker, tbnd, treps = _slice_cohomology(phi.target, n, polybound)
-        ech = _linalg.Echelon(len(tsl.basis))
-        for v in tbnd:
-            ech.add(v)
+        sreps = source.homology(n).representatives
+        treps = target.homology(n).representatives
+        ech = target.echelon(n)
         dim = ech.dim
-        for v in sreps:
-            ech.add(tsl.vector(apply_morphism(phi, ssl.poly(v))))
+        for p in sreps:
+            ech.add(target.vector(n, apply_morphism(phi, p)))
         injective = ech.dim - dim == len(sreps)
         dim = ech.dim
-        for v in treps:
-            ech.add(v)
+        for p in treps:
+            ech.add(target.vector(n, p))
         surjective = ech.dim == dim
         reports.append({
             "degree": n,

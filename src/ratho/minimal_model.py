@@ -14,8 +14,6 @@ minimality is the strict condition: no differential of a new generator may
 contain a term that is a single new generator with no base factor.
 """
 
-from fractions import Fraction
-
 from . import _linalg
 from .core_algebra import (
     AlgebraMorphism,
@@ -25,16 +23,7 @@ from .core_algebra import (
     compose_morphisms,
     morphism_by_names,
 )
-from .dgca import (
-    DGCA,
-    ChainMapError,
-    _slice_cohomology,
-    apply_d,
-    cohomology,
-    is_chain_map,
-    is_exact,
-    is_quasi_iso,
-)
+from .dgca import DGCA, ChainMapError, _slices, is_chain_map, is_quasi_iso
 from .linfty import SullivanCertificate, _cycle_witness, _dependencies
 
 
@@ -72,10 +61,11 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
     """
     if N < 1:
         raise ValueError("degree bound must be >= 1")
-    low = cohomology(A, (0, 1), polybound)
-    if low[0].dim != 1:
+    slices = _slices(A, polybound)
+    h0, h1 = slices.dims(0), slices.dims(1)
+    if h0 != 1:
         raise ValueError("H^0 must be one-dimensional")
-    if low[1].dim != 0:
+    if h1 != 0:
         raise ValueError("H^1 must vanish")
 
     pairs = []
@@ -90,20 +80,16 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
 
     M, phi = build()
     for n in range(2, N + 1):
-        slA, kerA, bndA, repsA = _slice_cohomology(A, n, polybound)
-        ech = _linalg.Echelon(len(slA.basis))
-        for v in bndA:
-            ech.add(v)
-        slM, _, _, repsM = _slice_cohomology(M, n, None)
-        for v in repsM:
-            ech.add(slA.vector(apply_morphism(phi, slM.poly(v))))
+        ech = slices.echelon(n)
+        for p in _slices(M, None).homology(n).representatives:
+            ech.add(slices.vector(n, apply_morphism(phi, p)))
         counter = 0
-        cands = list(repsA)
+        cands = slices.homology(n).representatives
         if reverse:
             cands.reverse()
-        for v in cands:
+        for p in cands:
             dim = ech.dim
-            ech.add(v)
+            ech.add(slices.vector(n, p))
             if ech.dim == dim:
                 continue
             name = "v%d_%d" % (n, counter)
@@ -112,32 +98,30 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
             if len(pairs) > budget:
                 raise BudgetExceeded("generator budget %d exceeded" % budget)
             d_data[name] = Polynomial(GeneratorSet(pairs), {})
-            phi_data[name] = slA.poly(v)
+            phi_data[name] = p
         M, phi = build()
 
         # differentials spanning ker(H^{n+1}(M) -> H^{n+1}(A))
-        slM1, _, _, repsM1 = _slice_cohomology(M, n + 1, None)
-        slA1, _, bndA1, _ = _slice_cohomology(A, n + 1, polybound)
-        echA1 = _linalg.Echelon(len(slA1.basis))
-        for v in bndA1:
-            echA1.add(v)
-        resid = [echA1.reduce(slA1.vector(apply_morphism(phi, slM1.poly(v))))
-                 for v in repsM1]
+        model = _slices(M, None)
+        zs = model.homology(n + 1).representatives
+        # A's cocycles of degree n+1 are built as cohomology builds them,
+        # so a slice error there is raised here too
+        slices.kernel(n + 1)
+        echA1 = slices.echelon(n + 1)
+        resid = [echA1.reduce(slices.vector(n + 1, apply_morphism(phi, z)))
+                 for z in zs]
         if resid:
             mat = [[resid[i][r] for i in range(len(resid))]
-                   for r in range(len(slA1.basis))]
+                   for r in range(len(slices.basis(n + 1)))]
             combos = _linalg.nullspace(mat, len(resid))
         else:
             combos = []
         if reverse:
             combos.reverse()
+        zvecs = [model.vector(n + 1, z) for z in zs]
         for cvec in combos:
-            zv = [Fraction(0)] * len(slM1.basis)
-            for c, rep in zip(cvec, repsM1):
-                if c:
-                    zv = [a + c * b for a, b in zip(zv, rep)]
-            z = slM1.poly(zv)
-            q = is_exact(A, apply_morphism(phi, z), polybound)
+            z = model.combine(n + 1, cvec, zvecs)
+            q = slices.primitive(n + 1, apply_morphism(phi, z))
             if q is None:
                 raise RuntimeError(
                     "no primitive witness within the polynomial-degree budget")

@@ -7,9 +7,11 @@ graded by plain degree.  Bases must be finite-dimensional (all generators
 odd) or come with an explicit total-degree truncation, in which case every
 reported rank is flagged boundary_affected: kernels are computed against the
 full, untruncated images, boundaries only from witnesses inside the window.
+The linear algebra is ratho._complex's, with _residues as its grading
+adapter, so each residue's differential is built once per computation.
 """
 
-from . import _linalg
+from ._complex import Complex
 from .core_algebra import GeneratorSetMismatch, basis_of_degree
 from .dgca import apply_d
 
@@ -126,98 +128,41 @@ class TwistedSlice:
         return "<twisted H_%d dim %d%s>" % (self.residue, self.dim, flag)
 
 
-def _differential_data(C, k):
-    """Sparse rows of D on residue k over an extended column index.
+def _residues(C):
+    """The finite complex of C's residues, truncation overflow kept.
 
-    Returns (domain monomials, extended column list, rows), each row a
-    {column: coefficient} dict.  The columns begin with the target
-    residue's basis, in residue_basis order, followed by any truncation
-    overflow the images produce; so the data of residue k - 1 (cyclically,
-    for r >= 1) is the map into residue k, with residue k's domain as its
-    leading columns.
+    Every monomial of a residue is in its window, so cocycles are taken
+    against the full, untruncated images and only boundaries are cut.
     """
-    dom = C.residue_basis(k)
-    if C.period == 0:
-        cols = list(C.residue_basis(k + 1))
-    else:
-        cols = list(C.residue_basis((k + 1) % (2 * C.period)))
-    pos = {m: i for i, m in enumerate(cols)}
-    rows = []
-    for m in dom:
-        row = {}
-        for mm, c in twisted_d(C, C.base.gens.from_exponents(m)).terms.items():
-            if mm not in pos:
-                pos[mm] = len(cols)
-                cols.append(mm)
-            row[pos[mm]] = c
-        rows.append(row)
-    return dom, cols, rows
+    def shift(k, s):
+        return (k + s) % (2 * C.period) if C.period else k + s
+
+    gens = C.base.gens
+    return Complex(gens, C.residue_basis, shift,
+                   lambda m: twisted_d(C, gens.from_exponents(m)),
+                   overflow=True)
 
 
 def twisted_cohomology(C):
     """TwistedSlice per residue: exact ranks of the folded two-term complexes."""
+    cx = _residues(C)
     out = []
-    data = [_differential_data(C, k) for k in C.residues()]
-    for i, k in enumerate(C.residues()):
-        dom, cols, rows = data[i]
-        ker = (_linalg.nullspace(_linalg.dense_transpose(rows, len(cols)),
-                                 len(dom)) if rows else [])
-        if C.period == 0 and k == 0:
-            bnd = []
-        else:
-            pdom, pcols, prows = data[i - 1]
-            prows = [_linalg.dense(r, len(pcols)) for r in prows]
-            if C.finite:
-                reduced = _linalg.rref(prows)[0]
-            else:
-                reduced = _linalg.intersect_with_coordinate_subspace(
-                    prows, set(range(len(dom))), len(pcols))
-            bnd = [v[:len(dom)] for v in reduced]
-        ech = _linalg.Echelon(len(dom))
-        for v in bnd:
-            ech.add(v)
-        reps = []
-        for v in ker:
-            dim = ech.dim
-            ech.add(v)
-            if ech.dim > dim:
-                p = C.base.zero()
-                for j, c in enumerate(v):
-                    if c:
-                        p = p + C.base.gens.from_exponents(dom[j], c)
-                reps.append(TwistedClass(C, p, residue=k))
-        out.append(TwistedSlice(k, len(ker) - len(bnd), reps, not C.finite))
+    for k in C.residues():
+        h = cx.homology(k)
+        reps = [TwistedClass(C, p, residue=k) for p in h.cocycles]
+        out.append(TwistedSlice(k, len(h.kernel) - len(h.boundaries), reps,
+                                not C.finite))
     return out
 
 
 def twisted_cohomology_dims(C):
     """Per-residue dimensions, from ranks only; equal to twisted_cohomology's.
 
-    With D_k the map out of residue k and D_prev the map into it,
-
-        dim_k = |dom_k| - rank D_k - rank D_prev
-
-    on a finite complex.  On a truncated one the boundary term is
-    rank D_prev - rank(D_prev on its overflow columns), the dimension of
-    im D_prev inside the window, which is the window twisted_cohomology
-    uses.  With period 0 residue 0 has no incoming map.  Each D_k is built
-    once and its rank taken once; no kernel basis or representative is
-    formed.
+    Each residue's differential is built once and its rank taken once; no
+    kernel basis or representative is formed.
     """
-    data = [_differential_data(C, k) for k in C.residues()]
-    ranks = [_linalg.sparse_rank(rows) for _, _, rows in data]
-    dims = []
-    for i, (dom, _, _) in enumerate(data):
-        bnd = 0
-        if C.period or i:
-            bnd = ranks[i - 1]
-            if not C.finite and bnd:
-                n = len(dom)
-                bnd -= _linalg.sparse_rank(
-                    {c: x for c, x in r.items() if c >= n}
-                    for r in data[i - 1][2])
-        dims.append(len(dom) - ranks[i] - bnd)
-    return tuple(dims)
+    cx = _residues(C)
+    return tuple(cx.dims(k) for k in C.residues())
 
 
 def twisted_is_exact(C, x, residue=None):
@@ -225,29 +170,7 @@ def twisted_is_exact(C, x, residue=None):
     if x.is_zero():
         return C.base.zero()
     cls = TwistedClass(C, x, residue)
-    k = cls.residue
-    if C.period == 0:
-        prev = k - 1
-        if prev < 0:
-            return None
-    else:
-        prev = (k - 1) % (2 * C.period)
-    pdom, pcols, prows = _differential_data(C, prev)
-    ppos = {m: i for i, m in enumerate(pcols)}
-    target = {}
-    for m, c in x.terms.items():
-        if m not in ppos:
-            return None
-        target[ppos[m]] = c
-    coeffs = _linalg.solve([_linalg.dense(r, len(pcols)) for r in prows],
-                           _linalg.dense(target, len(pcols)))
-    if coeffs is None:
-        return None
-    out = C.base.zero()
-    for c, m in zip(coeffs, pdom):
-        if c:
-            out = out + C.base.gens.from_exponents(m, c)
-    return out
+    return _residues(C).primitive(cls.residue, x)
 
 
 def op_wedge_twist(C, cls):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ratho.character import (
     ConcordanceDatum,
     FlatFormDatum,
+    NotConcordant,
     TwistedFlatFormDatum,
     constant_concordance,
     decide_concordance,
@@ -22,6 +23,7 @@ from ratho.character import (
     verify_flat,
     verify_twisted_flat,
 )
+from ratho.cli import corpus
 from ratho.dgca import DGCA, check_d_squared
 from ratho.linfty import brackets_from_ce, ce_from_brackets
 from ratho.minimal_model import RelativeExtension, cofiber
@@ -359,6 +361,39 @@ def test_decide_concordance_dispatch():
     Ht = t3.gen("x") * t3.gen("y") * t3.gen("z")
     with pytest.raises(ValueError):
         decide_concordance(f0, _torus_ku(t3, Ht, t3.zero(), t3.zero()))
+
+
+def test_decide_concordance_refuses_by_type():
+    s3 = corpus.algebra("s3")
+    w3 = s3.gen("w3")
+    f0 = line_datum(s3, 2, w3)
+    f1 = line_datum(s3, 2, 2 * w3)
+    with pytest.raises(NotConcordant, match="no concordance exists"):
+        linear_concordance(f0, f1)
+    assert decide_concordance(f0, f1) is None
+    t3 = corpus.algebra("t3")
+    H = t3.monomial({"x": 1, "y": 1, "z": 1})
+    t0d = _torus_ku(t3, H, t3.gen("x"), t3.zero())
+    t1d = _torus_ku(t3, H, t3.gen("y"), t3.zero())
+    with pytest.raises(NotConcordant, match="no concordance exists"):
+        twisted_linear_concordance(t0d, t1d)
+    assert decide_concordance(t0d, t1d) is None
+
+
+def test_decide_concordance_propagates_other_value_errors():
+    s3 = corpus.algebra("s3")
+    t3 = corpus.algebra("t3")
+    f0 = line_datum(s3, 2, s3.gen("w3"))
+    f1 = line_datum(t3, 2, t3.monomial({"x": 1, "y": 1, "z": 1}))
+    with pytest.raises(ValueError, match="different targets") as err:
+        decide_concordance(f0, f1)
+    assert not isinstance(err.value, NotConcordant)
+    H = t3.monomial({"x": 1, "y": 1, "z": 1})
+    t0d = _torus_ku(t3, H, t3.gen("x"), t3.zero())
+    t1d = _torus_ku(t3, 2 * H, t3.gen("x"), t3.zero())
+    with pytest.raises(ValueError, match="different twists") as err:
+        decide_concordance(t0d, t1d)
+    assert not isinstance(err.value, NotConcordant)
 
 
 def test_decide_concordance_twisted_route():

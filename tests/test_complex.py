@@ -1,0 +1,249 @@
+"""The finite-complex layer against a dense recomputation, and its memo.
+
+The oracle half rebuilds every expected value here from basis_of_degree
+and the matrices of apply_d / twisted_d, with the dense elimination of
+_dense_oracle: cocycles are the kernel of d on the cocycle window against
+the full images (overflow included), boundaries the image of d on the
+previous grade intersected with the window's coordinates, and a class is
+a kernel vector that is new modulo the boundaries and the classes before
+it.  Ordinary cohomology reports the reduced residual of each such
+vector, twisted cohomology the kernel vector itself.
+
+The build-count half wraps basis_of_degree and apply_d: one computation
+builds each basis and each row of d once, however many degrees, classes
+or witnesses it asks about.
+"""
+
+import itertools
+import sys
+from fractions import Fraction
+
+import pytest
+
+import _dense_oracle as oracle
+from ratho import core_algebra, dgca
+from ratho.character import line_quotient, twisted_ku_quotient
+from ratho.cli import corpus
+from ratho.core_algebra import Polynomial, basis_of_degree
+from ratho.dgca import DGCA, apply_d, cohomology, cohomology_dims
+from ratho.twisted_derham import TwistedComplex, twisted_cohomology, twisted_d
+
+ZERO = Fraction(0)
+
+
+def _rows(images, cols):
+    """Dense rows of the polynomials over cols; cols grows by overflow."""
+    pos = {m: i for i, m in enumerate(cols)}
+    for p in images:
+        for m in p.terms:
+            if m not in pos:
+                pos[m] = len(cols)
+                cols.append(m)
+    return [[p.terms.get(m, ZERO) for m in cols] for p in images]
+
+
+def _classes(basis, window, d, basis_next, basis_prev):
+    """(dim, [(kernel vector, residual)]) of one grade, by dense algebra."""
+    out_rows = _rows([d(basis[i]) for i in window], list(basis_next))
+    kernel = []
+    for v in oracle.nullspace([list(c) for c in zip(*out_rows)],
+                              len(window)):
+        big = [ZERO] * len(basis)
+        for i, c in zip(window, v):
+            big[i] = c
+        kernel.append(big)
+    cols = list(basis)
+    in_rows = _rows([d(m) for m in basis_prev], cols)
+    bnd = [v[:len(basis)] for v in oracle.intersect_with_coordinate_subspace(
+        in_rows, set(window), len(cols))]
+    ech = oracle.Echelon(len(basis))
+    for v in bnd:
+        ech.add(v)
+    classes = []
+    for v in kernel:
+        dim = ech.dim
+        r = ech.add(v)
+        if ech.dim > dim:
+            classes.append((v, r))
+    return len(kernel) - len(bnd), classes
+
+
+def _poly(gens, basis, v):
+    return Polynomial(gens, {m: c for m, c in zip(basis, v) if c})
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_cohomology_representatives_match_dense_oracle(name):
+    A = corpus.algebra(name)
+    pb = 3
+    zero_gens = [i for i, d in enumerate(A.gens.degrees) if d == 0]
+
+    def basis(n):
+        return basis_of_degree(A.gens, n, pb) if n >= 0 else []
+
+    def d(m):
+        return apply_d(A, A.gens.from_exponents(m))
+
+    for s in cohomology(A, (0, 8), pb):
+        n = s.degree
+        b = basis(n)
+        window = [i for i, m in enumerate(b)
+                  if sum(m[j] for j in zero_gens) <= pb - 1]
+        dim, classes = _classes(b, window, d, basis(n + 1), basis(n - 1))
+        assert s.dim == dim
+        assert s.representatives == [_poly(A.gens, b, r) for _, r in classes]
+
+
+def _twist_cases():
+    cases = []
+    for name in corpus.names():
+        mf = corpus.load(name)
+        for tname, t in mf.twists.items():
+            cases.append(pytest.param(mf.algebras[t.algebra], t.form, None,
+                                      id="%s-%s" % (name, tname)))
+    # boundaries meet the kernel's support, so a reduced representative
+    # would differ from the kernel vector
+    T5 = DGCA([("x%d" % i, 1) for i in range(5)])
+    x = [T5.gen(n) for n in T5.gens.names]
+    cases.append(pytest.param(T5, x[0] * x[1] * x[2] + x[2] * x[3] * x[4],
+                              None, id="t5"))
+    # a truncated complex, so the overflow columns are exercised too
+    W = DGCA([("w3", 3), ("c4", 4)])
+    cases.append(pytest.param(W, W.gen("w3"), None, id="w3c4"))
+    cases.append(pytest.param(W, W.zero(), 0, id="w3c4-period0"))
+    return cases
+
+
+@pytest.mark.parametrize("base, twist, period", _twist_cases())
+def test_twisted_representatives_match_dense_oracle(base, twist, period):
+    C = TwistedComplex(base, twist, period=period, truncation=8)
+    r = C.period
+
+    def basis(k):
+        out = []
+        for n in range(C.top + 1):
+            if (n - k) % (2 * r) == 0 if r else n == k:
+                out.extend(basis_of_degree(base.gens, n))
+        return out
+
+    def step(k):
+        return k % (2 * r) if r else k
+
+    def d(m):
+        return twisted_d(C, base.gens.from_exponents(m))
+
+    slices = twisted_cohomology(C)
+    assert [s.residue for s in slices] == C.residues()
+    for s in slices:
+        k = s.residue
+        b = basis(k)
+        dim, classes = _classes(b, range(len(b)), d, basis(step(k + 1)),
+                                basis(step(k - 1)))
+        assert s.dim == dim
+        assert ([c.rep for c in s.representatives]
+                == [_poly(base.gens, b, v) for v, _ in classes])
+
+
+@pytest.mark.parametrize("name, n", [("t3", 0), ("su2", 1)])
+def test_line_quotient_classes_match_dense_oracle(name, n):
+    omega = corpus.algebra(name)
+    lattice = (-1, 0, 1)
+    b = basis_of_degree(omega.gens, n + 1)
+
+    def d(m):
+        return apply_d(omega, omega.gens.from_exponents(m))
+
+    out_rows = _rows([d(m) for m in b],
+                     list(basis_of_degree(omega.gens, n + 2)))
+    kernel = oracle.nullspace([list(c) for c in zip(*out_rows)], len(b))
+    ech = oracle.Echelon(len(b))
+    for v in _rows([d(m) for m in basis_of_degree(omega.gens, n)], list(b)):
+        ech.add(v)
+    expected = {}
+    for combo in itertools.product([Fraction(x) for x in lattice],
+                                   repeat=len(kernel)):
+        vec = [sum((lam * v[i] for lam, v in zip(combo, kernel)), ZERO)
+               for i in range(len(b))]
+        expected.setdefault(tuple(ech.reduce(vec)), []).append(
+            _poly(omega.gens, b, vec))
+    res = line_quotient(omega, n, lattice)
+    assert list(res.classes) == list(expected)
+    assert res.classes == expected
+
+
+def test_twisted_ku_quotient_keys_match_dense_oracle():
+    omega = corpus.algebra("t3")
+    H = omega.monomial({"x": 1, "y": 1, "z": 1})
+    C = TwistedComplex(omega, H)
+    odd = basis_of_degree(omega.gens, 1) + basis_of_degree(omega.gens, 3)
+    even = basis_of_degree(omega.gens, 0) + basis_of_degree(omega.gens, 2)
+    ech = oracle.Echelon(len(odd))
+    for v in _rows([twisted_d(C, omega.gens.from_exponents(m))
+                    for m in even], list(odd)):
+        ech.add(v)
+    res = twisted_ku_quotient(omega, H, (-1, 0, 1))
+    assert res.class_count == 27
+    for key, members in res.classes.items():
+        for datum in members:
+            total = omega.zero()
+            for name in datum.bundle.new_names:
+                total = total + datum.image(name)
+            (vec,) = _rows([total], list(odd))
+            assert tuple(ech.reduce(vec)) == key
+
+
+def _count_bases(monkeypatch):
+    """Degrees passed to basis_of_degree from any ratho module."""
+    calls = []
+    original = core_algebra.basis_of_degree
+
+    def counted(gens, n, *args, **kwargs):
+        calls.append(n)
+        return original(gens, n, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "ratho" or name.startswith("ratho."))
+                and getattr(module, "basis_of_degree", None) is original):
+            monkeypatch.setattr(module, "basis_of_degree", counted)
+    return calls
+
+
+@pytest.mark.parametrize("compute", [cohomology, cohomology_dims])
+def test_degree_range_builds_each_basis_once(monkeypatch, compute):
+    cp2 = corpus.algebra("cp2")
+    calls = _count_bases(monkeypatch)
+    compute(cp2, (0, 8))
+    assert len(calls) <= 10
+
+
+def test_degree_range_builds_each_row_once(monkeypatch):
+    cp2 = corpus.algebra("cp2")
+    calls = []
+    original = dgca.apply_d
+
+    def counted(A, p):
+        calls.append(p)
+        return original(A, p)
+
+    monkeypatch.setattr(dgca, "apply_d", counted)
+    cohomology(cp2, (0, 8))
+    assert len(calls) == sum(len(basis_of_degree(cp2.gens, n))
+                             for n in range(9))
+
+
+# every degree here has a nonempty basis; an empty one needs no rows of d
+@pytest.mark.parametrize("n", [2, 4, 5, 8])
+def test_single_degree_dims_builds_three_bases(monkeypatch, n):
+    cp2 = corpus.algebra("cp2")
+    calls = _count_bases(monkeypatch)
+    cohomology_dims(cp2, (n, n))
+    assert sorted(calls) == [n - 1, n, n + 1]
+
+
+def test_twisted_ku_quotient_reuses_its_complexes(monkeypatch):
+    t3 = corpus.algebra("t3")
+    xyz = t3.monomial({"x": 1, "y": 1, "z": 1})
+    calls = _count_bases(monkeypatch)
+    res = twisted_ku_quotient(t3, xyz, (-1, 0, 1))
+    assert (res.class_count, res.concordances, res.refusals) == (27, 54, 51)
+    assert len(calls) < 508

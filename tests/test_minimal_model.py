@@ -245,3 +245,13 @@ def test_cofiber_then_minimal_model_matches_fiber_counts():
     ext = RelativeExtension(_sp2_inv(), _twistor())
     res = minimal_model(cofiber(ext), 8)
     assert res.counts == {2: 1, 7: 1}
+
+
+def test_minimal_model_raises_when_d_leaves_the_slice_one_degree_up():
+    # d y = t^2 z leaves polynomial degree 1 in degree 4 only, one degree
+    # above the bound, where the cocycles of A are still computed
+    A = DGCA([("t", 0), ("y", 3), ("z", 4)])
+    g = A.gens
+    A = DGCA(g, {"y": g.monomial({"t": 2, "z": 1})})
+    with pytest.raises(ValueError, match="element leaves the truncated slice"):
+        minimal_model(A, 2, polybound=1)
