@@ -23,16 +23,23 @@ this is plain cohomology.
 Each basis and each monomial's row of d is built once per instance, on
 first use.  An instance serves one computation: the objects it reads
 (DGCA.d in particular) are mutable, so nothing is kept on them.
+
+Vectors over basis(k), the rows of d among them, are sparse rows
+{position: coefficient}, the one vector format of ratho._linalg, and the
+memoized rows go to it as they are.  Only class_key returns a full tuple
+over basis(k), since a key must be hashable.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 
 from . import _linalg
 from .core_algebra import Polynomial
 
+ZERO = Fraction(0)
 LEAVES = "element leaves the truncated slice"
 
-# kernel and boundaries are vectors over basis(k); for each new class,
+# kernel and boundaries are sparse rows over basis(k); for each new class,
 # representatives holds the cocycle reduced modulo the boundaries and the
 # classes before it, cocycles the kernel vector it came from
 Homology = namedtuple("Homology",
@@ -124,35 +131,26 @@ class Complex:
 
     @_once
     def kernel(self, k):
-        """Basis of the cocycles of grade k, as vectors over basis(k)."""
+        """Basis of the cocycles of grade k, as sparse rows over basis(k)."""
         window = self.window(k)
         rows = self._rows(k, window)
         if not rows:
             return []
-        ncols = len(self._columns(self._shift(k, 1))[0])
-        nb = len(self.basis(k))
-        out = []
         # columns of the system are the d-images of the window monomials
-        for v in _linalg.nullspace(_linalg.dense_transpose(rows, ncols),
-                                   len(rows)):
-            big = [_linalg.ZERO] * nb
-            for i, c in zip(window, v):
-                big[i] = c
-            out.append(big)
-        return out
+        return [{window[j]: x for j, x in v.items()}
+                for v in _linalg.nullspace(_linalg.transpose(rows).values(),
+                                           len(rows))]
 
     @_once
     def boundaries(self, k):
         """Basis of the boundaries inside the window, over basis(k)."""
         rows, ncols = self._incoming(k)
-        nb = len(self.basis(k))
-        return [v[:nb] for v in _linalg.intersect_with_coordinate_subspace(
-            [_linalg.dense(r, ncols) for r in rows], set(self.window(k)),
-            ncols)]
+        return _linalg.intersect_with_coordinate_subspace(
+            rows, set(self.window(k)), ncols)
 
     def echelon(self, k):
         """A new Echelon spanned by the boundaries of grade k."""
-        ech = _linalg.Echelon(len(self.basis(k)))
+        ech = _linalg.Echelon()
         for v in self.boundaries(k):
             ech.add(v)
         return ech
@@ -163,16 +161,15 @@ class Complex:
         ech = self.echelon(k)
         reps, cocycles = [], []
         for v in kernel:
-            dim = ech.dim
             r = ech.add(v)
-            if ech.dim > dim:
-                reps.append(self.poly(k, r))
+            if r:
+                reps.append(self.poly(k, dict(r)))
                 cocycles.append(self.poly(k, v))
         return Homology(kernel, self.boundaries(k), reps, cocycles)
 
     def primitive(self, k, p):
         """y of grade shift(k, -1) with d(y) = p, or None if none exists."""
-        rows, ncols = self._incoming(k)
+        rows = self._incoming(k)[0]
         pos = self._columns(k)[1]
         target = {}
         for m, c in p.terms.items():
@@ -181,8 +178,7 @@ class Complex:
                     raise ValueError(LEAVES)
                 return None
             target[pos[m]] = c
-        x = _linalg.solve([_linalg.dense(r, ncols) for r in rows],
-                          _linalg.dense(target, ncols))
+        x = _linalg.solve(rows, target)
         return None if x is None else self.poly(self._shift(k, -1), x)
 
     @_once
@@ -191,13 +187,14 @@ class Complex:
 
     def class_key(self, k, p):
         """Canonical key of p's class: its residue modulo the boundaries."""
-        return tuple(self._key_echelon(k).reduce(self.vector(k, p)))
+        r = self._key_echelon(k).reduce(self.vector(k, p))
+        return tuple(r.get(i, ZERO) for i in range(len(self.basis(k))))
 
     def vector(self, k, p):
-        """Dense coordinates of p over basis(k)."""
+        """Sparse coordinates of p over basis(k)."""
         nb = len(self.basis(k))
         pos = self._columns(k)[1]
-        v = [_linalg.ZERO] * nb
+        v = {}
         for m, c in p.terms.items():
             i = pos.get(m, nb)
             if i >= nb:
@@ -206,15 +203,15 @@ class Complex:
         return v
 
     def poly(self, k, v):
-        """The polynomial with coordinates v over basis(k)."""
+        """The polynomial with sparse coordinates v, terms in basis order."""
         basis = self.basis(k)
-        return Polynomial(self.gens,
-                          {basis[i]: c for i, c in enumerate(v) if c})
+        return Polynomial(self.gens, {basis[i]: v[i] for i in sorted(v)})
 
     def combine(self, k, coeffs, vectors):
         """The polynomial sum(c * v) over basis(k)."""
-        total = [_linalg.ZERO] * len(self.basis(k))
+        total = {}
         for c, v in zip(coeffs, vectors):
             if c:
-                total = [a + c * b for a, b in zip(total, v)]
+                for i, x in v.items():
+                    total[i] = total.get(i, ZERO) + c * x
         return self.poly(k, total)

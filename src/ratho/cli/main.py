@@ -36,6 +36,10 @@ class UsageError(Exception):
     pass
 
 
+class CheckFailed(Exception):
+    """A failed check ends the command; args are its outcome."""
+
+
 def _load_model(path):
     if path.startswith("corpus:"):
         name = path[len("corpus:"):]
@@ -120,9 +124,8 @@ def _comb_str(targets, order):
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_check(args):
-    mf = _load_model(args.file)
-    names = [n for k, n in mf.order if k == "algebra"]
+def _d_squared(mf, names):
+    """The outcome of checking d^2 = 0 on the named algebras of mf."""
     lines = []
     outcomes = {}
     witnesses = []
@@ -141,9 +144,23 @@ def _cmd_check(args):
             {"passed": ok, "algebras": outcomes}, witnesses, lines)
 
 
+def _first_closed_algebra(mf):
+    """The first algebra; CheckFailed with check's outcome if d^2 != 0."""
+    name, A = _first_algebra(mf)
+    outcome = _d_squared(mf, [name])
+    if outcome[0]:
+        raise CheckFailed(*outcome)
+    return name, A
+
+
+def _cmd_check(args):
+    mf = _load_model(args.file)
+    return _d_squared(mf, [n for k, n in mf.order if k == "algebra"])
+
+
 def _cmd_cohomology(args):
     mf = _load_model(args.file)
-    name, A = _first_algebra(mf)
+    name, A = _first_closed_algebra(mf)
     top = args.max_degree if args.max_degree is not None else 8
     try:
         slices = cohomology(A, (0, top), polybound=args.polybound)
@@ -162,7 +179,7 @@ def _cmd_cohomology(args):
 
 def _cmd_minimal_model(args):
     mf = _load_model(args.file)
-    name, A = _first_algebra(mf)
+    name, A = _first_closed_algebra(mf)
     top = args.max_degree if args.max_degree is not None else 8
     try:
         res = minimal_model(A, top, polybound=args.polybound)
@@ -190,7 +207,7 @@ def _cmd_minimal_model(args):
 
 def _cmd_brackets(args):
     mf = _load_model(args.file)
-    name, A = _first_algebra(mf)
+    name, A = _first_closed_algebra(mf)
     L = brackets_from_ce(A)
     order = [n for n, _ in L.basis]
     lines = ["brackets of %s (basis %s)" % (name, ", ".join(order))]
@@ -635,13 +652,20 @@ def main(argv=None):
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
+    except CheckFailed as e:
+        code, result, witnesses, lines = e.args
     payload = {"command": args.command, "inputs": _jsonable(_inputs(args)),
                "result": _jsonable(result),
                "witnesses": _jsonable(witnesses)}
     text = json.dumps(payload, indent=2) if args.json else "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print("error: cannot write %s: %s" % (args.out, e.strerror),
+                  file=sys.stderr)
+            return 2
     else:
         print(text)
     return code

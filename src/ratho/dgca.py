@@ -6,10 +6,12 @@ extended to everything as a graded derivation.  d*d = 0 is a certified
 property (check_d_squared), not a constructor assumption.
 
 Cohomology is computed degreewise on the finite complex of A's slices
-(_slices, a grading adapter over ratho._complex), by sparse exact-rational
-row reduction (ratho._linalg) that pivots on the lowest nonzero column.
-Reduced row echelon form is unique, so representatives are reproducible
-across runs and do not depend on how the elimination is carried out.
+(_slices, a grading adapter over ratho._complex).  The rows of d are built
+once, as sparse {column: Fraction} rows, and go unchanged into the
+exact-rational row reduction of ratho._linalg, which pivots on the lowest
+nonzero column.  Reduced row echelon form is unique, so representatives
+are reproducible across runs and do not depend on how the elimination is
+carried out.
 cohomology_dims only takes ranks and never forms a kernel basis or a
 representative.
 
@@ -265,14 +267,10 @@ def is_quasi_iso(phi, degrees, polybound=None):
         sreps = source.homology(n).representatives
         treps = target.homology(n).representatives
         ech = target.echelon(n)
-        dim = ech.dim
-        for p in sreps:
-            ech.add(target.vector(n, apply_morphism(phi, p)))
-        injective = ech.dim - dim == len(sreps)
-        dim = ech.dim
-        for p in treps:
-            ech.add(target.vector(n, p))
-        surjective = ech.dim == dim
+        # lists, not generators: every vector must be added in turn
+        injective = all([ech.add(target.vector(n, apply_morphism(phi, p)))
+                         for p in sreps])
+        surjective = not any([ech.add(target.vector(n, p)) for p in treps])
         reports.append({
             "degree": n,
             "dim_source": len(sreps),

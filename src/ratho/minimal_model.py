@@ -88,9 +88,7 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
         if reverse:
             cands.reverse()
         for p in cands:
-            dim = ech.dim
-            ech.add(slices.vector(n, p))
-            if ech.dim == dim:
+            if not ech.add(slices.vector(n, p)):
                 continue
             name = "v%d_%d" % (n, counter)
             counter += 1
@@ -110,17 +108,13 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
         echA1 = slices.echelon(n + 1)
         resid = [echA1.reduce(slices.vector(n + 1, apply_morphism(phi, z)))
                  for z in zs]
-        if resid:
-            mat = [[resid[i][r] for i in range(len(resid))]
-                   for r in range(len(slices.basis(n + 1)))]
-            combos = _linalg.nullspace(mat, len(resid))
-        else:
-            combos = []
+        combos = _linalg.nullspace(_linalg.transpose(resid).values(),
+                                   len(resid)) if resid else []
         if reverse:
             combos.reverse()
         zvecs = [model.vector(n + 1, z) for z in zs]
         for cvec in combos:
-            z = model.combine(n + 1, cvec, zvecs)
+            z = model.combine(n + 1, cvec.values(), [zvecs[i] for i in cvec])
             q = slices.primitive(n + 1, apply_morphism(phi, z))
             if q is None:
                 raise RuntimeError(

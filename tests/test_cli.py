@@ -184,6 +184,23 @@ def test_check_fails_on_broken_differential(tmp_path, capsys):
     assert "d^2 != 0" in out
 
 
+@pytest.mark.parametrize("command", ["brackets", "cohomology",
+                                     "minimal-model"])
+def test_commands_on_broken_differential_exit_1(command, tmp_path, capsys):
+    f = tmp_path / "bad.dgca"
+    f.write_text("algebra A { gen a:2; gen b:3; gen c:4; "
+                 "d b = a^2; d c = a*b; }")
+    code, out, err = _run([command, str(f)], capsys)
+    assert (code, out, err) == (1, "A: d^2 != 0 (d^2(c) = a^3)\n", "")
+    code, out, _ = _run([command, "--json", str(f)], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema())
+    assert payload["result"] == {"passed": False, "algebras": {"A": False}}
+    assert payload["witnesses"] == [
+        {"algebra": "A", "generator": "c", "residual": "a^3"}]
+
+
 def test_cohomology_table_of_even_sphere(capsys):
     code, out, _ = _run(
         ["cohomology", "--max-degree", "12", "--json", "corpus:s4"], capsys)
@@ -339,6 +356,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["command"] == "cohomology"
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = _run(["cohomology", "corpus:s2", "--out", str(target)],
+                          capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: cannot write %s: No such file or directory\n"
+                   % target)
 
 
 # -- JSON schema --------------------------------------------------------------

@@ -3,7 +3,9 @@
 Reduced row echelon form is unique, so on every input the sparse kernel
 must return exactly what dense Gauss-Jordan elimination returns, not just
 something equivalent.  Matrices are mostly zero, like the ones ratho
-builds, and include all-zero rows and columns and empty shapes.
+builds, and include all-zero rows and columns and empty shapes.  The kernel
+takes and returns sparse rows ({column: value}, no zero entries); the tests
+draw dense matrices for the oracle and convert at this boundary.
 """
 
 import copy
@@ -19,6 +21,24 @@ _NONZERO = st.builds(Fraction, st.integers(-3, 3).filter(bool),
                      st.integers(1, 3))
 
 
+def _sparse(vec):
+    """The sparse row of a dense vector."""
+    return {c: x for c, x in enumerate(vec) if x}
+
+
+def _sparse_rows(rows):
+    return [_sparse(r) for r in rows]
+
+
+def _dense(row, ncols):
+    """The dense vector of length ncols with the entries of a sparse row."""
+    assert all(x for x in row.values()), "a sparse row holds a zero"
+    v = [ZERO] * ncols
+    for c, x in row.items():
+        v[c] = x
+    return v
+
+
 @st.composite
 def _vector(draw, ncols, max_nonzero):
     v = [ZERO] * ncols
@@ -32,7 +52,7 @@ def _vector(draw, ncols, max_nonzero):
 
 @st.composite
 def _matrix(draw, ncols=None):
-    """(rows, ncols): sparse rows with some rows and columns forced to 0."""
+    """(rows, ncols): dense rows with some rows and columns forced to 0."""
     if ncols is None:
         ncols = draw(st.integers(0, 9))
     nrows = draw(st.integers(0, 9))
@@ -63,23 +83,26 @@ def _system(draw):
 @settings(max_examples=100, deadline=None)
 @given(_matrix())
 def test_rref_and_rank_match_dense(m):
-    rows, _ = m
-    before = copy.deepcopy(rows)
-    assert sparse.rref(rows) == dense.rref(rows)
-    assert sparse.rank(rows) == dense.rank(rows)
-    assert rows == before
+    rows, ncols = m
+    sparse_rows = _sparse_rows(rows)
+    before = copy.deepcopy(sparse_rows)
+    red, pivots = sparse.rref(sparse_rows)
+    assert ([_dense(r, ncols) for r in red], pivots) == dense.rref(rows)
+    assert sparse.sparse_rank(sparse_rows) == dense.rank(rows)
+    assert sparse_rows == before
 
 
 @settings(max_examples=100, deadline=None)
 @given(_matrix())
 def test_sparse_rank_and_dense_round_trip_match_dense(m):
     rows, ncols = m
-    sparse_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    sparse_rows = _sparse_rows(rows)
     before = copy.deepcopy(sparse_rows)
     assert sparse.sparse_rank(sparse_rows) == dense.rank(rows)
     assert sparse_rows == before
-    assert [sparse.dense(r, ncols) for r in sparse_rows] == rows
-    assert (sparse.dense_transpose(sparse_rows, ncols)
+    assert [_dense(r, ncols) for r in sparse_rows] == rows
+    cols = sparse.transpose(sparse_rows)
+    assert ([_dense(cols.get(c, {}), len(rows)) for c in range(ncols)]
             == [[row[c] for row in rows] for c in range(ncols)])
 
 
@@ -87,18 +110,24 @@ def test_sparse_rank_and_dense_round_trip_match_dense(m):
 @given(_matrix())
 def test_nullspace_matches_dense(m):
     rows, ncols = m
-    assert sparse.nullspace(rows, ncols) == dense.nullspace(rows, ncols)
+    assert ([_dense(v, ncols)
+             for v in sparse.nullspace(_sparse_rows(rows), ncols)]
+            == dense.nullspace(rows, ncols))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_system())
 def test_solve_matches_dense(system):
     rows, rhs = system
-    x = sparse.solve(rows, rhs)
-    assert x == dense.solve(rows, rhs)
-    if x is not None:
-        assert [sum((c * row[j] for c, row in zip(x, rows)), ZERO)
-                for j in range(len(rhs))] == rhs
+    x = sparse.solve(_sparse_rows(rows), _sparse(rhs))
+    want = dense.solve(rows, rhs)
+    if x is None:
+        assert want is None
+        return
+    x = _dense(x, len(rows))
+    assert x == want
+    assert [sum((c * row[j] for c, row in zip(x, rows)), ZERO)
+            for j in range(len(rhs))] == rhs
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,13 +135,12 @@ def test_solve_matches_dense(system):
     lambda n: st.tuples(_matrix(n), _matrix(n))))
 def test_echelon_residuals_and_membership_match_dense(pair):
     (adds, ncols), (probes, _) = pair
-    ours, theirs = sparse.Echelon(ncols), dense.Echelon(ncols)
+    ours, theirs = sparse.Echelon(), dense.Echelon(ncols)
     for v in adds:
-        assert ours.add(v) == theirs.add(v)
+        assert _dense(dict(ours.add(_sparse(v))), ncols) == theirs.add(v)
         assert ours.dim == theirs.dim
     for v in adds + probes:
-        assert ours.reduce(v) == theirs.reduce(v)
-        assert ours.contains(v) == theirs.contains(v)
+        assert _dense(ours.reduce(_sparse(v)), ncols) == theirs.reduce(v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,5 +149,37 @@ def test_echelon_residuals_and_membership_match_dense(pair):
 def test_intersect_with_coordinate_subspace_matches_dense(case):
     (rows, ncols), allowed = case
     allowed = {c for c in allowed if c < ncols}
-    assert (sparse.intersect_with_coordinate_subspace(rows, allowed, ncols)
+    basis = sparse.intersect_with_coordinate_subspace(_sparse_rows(rows),
+                                                      allowed, ncols)
+    assert ([_dense(v, ncols) for v in basis]
             == dense.intersect_with_coordinate_subspace(rows, allowed, ncols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(_matrix(n), _matrix(n), _vector(n, 4),
+                        st.sets(st.integers(0, max(n - 1, 0))))))
+def test_entry_points_leave_their_input_unchanged(case):
+    """Callers pass rows they keep (the memoized rows of d), so no entry
+    point may reduce its arguments in place."""
+    (rows, ncols), (probes, _), rhs, allowed = case
+    rows, probes, rhs = (_sparse_rows(rows), _sparse_rows(probes),
+                         _sparse(rhs))
+    allowed = {c for c in allowed if c < ncols}
+    ech = sparse.Echelon()
+    calls = [
+        lambda: sparse.rref(rows),
+        lambda: sparse.sparse_rank(rows),
+        lambda: sparse.transpose(rows),
+        lambda: sparse.nullspace(rows, ncols),
+        lambda: sparse.solve(rows, rhs),
+        lambda: sparse.intersect_with_coordinate_subspace(rows, allowed,
+                                                          ncols),
+    ]
+    # adds first, so the probes below meet pivots to reduce against
+    calls += [lambda v=v: ech.add(v) for v in rows + probes]
+    calls += [lambda v=v: ech.reduce(v) for v in rows + probes]
+    for call in calls:
+        before = copy.deepcopy((rows, probes, rhs, allowed))
+        call()
+        assert (rows, probes, rhs, allowed) == before
