@@ -7,6 +7,15 @@ witnesses} against the shipped schema; --out redirects the rendered
 output to a file.
 
 File arguments accept either a path or corpus:NAME for a built-in model.
+
+Each command is one row of _COMMANDS: a handler, the reader that turns
+the loaded model file into the handler's inputs, and its help line.
+main() alone loads the file, runs the reader and the handler, and maps
+errors: ParseError and any ValueError or NotImplementedError (UsageError
+is one) end with exit 2.  The closed readers (_closed_algebra,
+_twisted_complex, _twisted_rep) check d^2 = 0 on the algebra they hand
+over and raise CheckFailed with check's outcome, so every command that
+needs a closed algebra passes through the same gate.
 """
 
 import argparse
@@ -32,7 +41,7 @@ from . import corpus
 from .parser import ParseError, parse
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -58,45 +67,14 @@ def _load_model(path):
     return parse(text)
 
 
-def _first_algebra(mf):
-    name, A = mf.first_algebra()
-    if A is None:
-        raise UsageError("the file declares no algebra")
-    return name, A
-
-
 def _morphisms(mf):
     return [mf.morphisms[n] for k, n in mf.order if k == "morphism"]
 
 
-def _first_matrix(mf, antisymmetric=False):
-    for kind, name in mf.order:
-        if kind == "matrix":
-            rows = mf.matrices[name].rows
-            try:
-                return name, CurvatureMatrix(rows, antisymmetric=antisymmetric)
-            except (ValueError, TypeError) as e:
-                raise UsageError("matrix %s: %s" % (name, e))
-    raise UsageError("the file declares no matrix")
-
-
-def _twist_form(mf, name):
+def _twist(mf, name):
     if name not in mf.twists:
         raise UsageError("no twist named %r in the file" % name)
-    t = mf.twists[name]
-    return mf.algebras[t.algebra], t.form
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (int, bool, str)) or x is None:
-        return x
-    return str(x)
+    return mf.twists[name]
 
 
 def _comb_str(targets, order):
@@ -121,9 +99,6 @@ def _comb_str(targets, order):
     return " ".join(parts) if parts else "0"
 
 
-# -- commands -----------------------------------------------------------------
-
-
 def _d_squared(mf, names):
     """The outcome of checking d^2 = 0 on the named algebras of mf."""
     lines = []
@@ -144,28 +119,79 @@ def _d_squared(mf, names):
             {"passed": ok, "algebras": outcomes}, witnesses, lines)
 
 
-def _first_closed_algebra(mf):
-    """The first algebra; CheckFailed with check's outcome if d^2 != 0."""
-    name, A = _first_algebra(mf)
+def _closed(mf, name):
+    """name and its algebra; CheckFailed with check's outcome if d^2 != 0."""
     outcome = _d_squared(mf, [name])
     if outcome[0]:
         raise CheckFailed(*outcome)
+    return name, mf.algebras[name]
+
+
+# -- readers: the loaded model file -> a handler's inputs ---------------------
+
+
+def _model(args, mf):
+    return (mf,)
+
+
+def _algebra(args, mf):
+    name, A = mf.first_algebra()
+    if A is None:
+        raise UsageError("the file declares no algebra")
     return name, A
 
 
-def _cmd_check(args):
-    mf = _load_model(args.file)
+def _closed_algebra(args, mf):
+    return _closed(mf, _algebra(args, mf)[0])
+
+
+def _twisted_complex(args, mf):
+    """The complex over the --twist block's algebra, else the first one."""
+    if args.twist is None:
+        name, A = _algebra(args, mf)
+        form = A.zero()
+    else:
+        t = _twist(mf, args.twist)
+        name, form = t.algebra, t.form
+    _, base = _closed(mf, name)
+    return (TwistedComplex(base, form, period=args.period,
+                           truncation=args.max_degree),)
+
+
+def _twisted_rep(args, mf):
+    C, = _twisted_complex(args, mf)
+    rep = _twist(mf, args.rep)
+    if mf.algebras[rep.algebra] is not C.base:
+        raise UsageError("representative %r lives over a different algebra"
+                         % args.rep)
+    return C, TwistedClass(C, rep.form)
+
+
+def _matrix(args, mf, antisymmetric=False):
+    for kind, name in mf.order:
+        if kind == "matrix":
+            rows = mf.matrices[name].rows
+            try:
+                return name, CurvatureMatrix(rows, antisymmetric=antisymmetric)
+            except (ValueError, TypeError) as e:
+                raise UsageError("matrix %s: %s" % (name, e))
+    raise UsageError("the file declares no matrix")
+
+
+def _antisymmetric_matrix(args, mf):
+    return _matrix(args, mf, antisymmetric=True)
+
+
+# -- commands: handler(args, *inputs) -> (code, result, witnesses, lines) -----
+
+
+def _cmd_check(args, mf):
     return _d_squared(mf, [n for k, n in mf.order if k == "algebra"])
 
 
-def _cmd_cohomology(args):
-    mf = _load_model(args.file)
-    name, A = _first_closed_algebra(mf)
+def _cmd_cohomology(args, name, A):
     top = args.max_degree if args.max_degree is not None else 8
-    try:
-        slices = cohomology(A, (0, top), polybound=args.polybound)
-    except ValueError as e:
-        raise UsageError(str(e))
+    slices = cohomology(A, (0, top), polybound=args.polybound)
     lines = ["cohomology of %s in degrees 0..%d" % (name, top)]
     dims = {}
     witnesses = []
@@ -177,16 +203,12 @@ def _cmd_cohomology(args):
     return 0, {"algebra": name, "dims": dims}, witnesses, lines
 
 
-def _cmd_minimal_model(args):
-    mf = _load_model(args.file)
-    name, A = _first_closed_algebra(mf)
+def _cmd_minimal_model(args, name, A):
     top = args.max_degree if args.max_degree is not None else 8
     try:
         res = minimal_model(A, top, polybound=args.polybound)
     except BudgetExceeded as e:
         return 1, {"algebra": name, "error": str(e)}, [], [str(e)]
-    except ValueError as e:
-        raise UsageError(str(e))
     M = res.model
     lines = ["minimal model of %s through degree %d" % (name, res.bound)]
     for g, d in zip(M.gens.names, M.gens.degrees):
@@ -205,9 +227,7 @@ def _cmd_minimal_model(args):
     return 0, result, witnesses, lines
 
 
-def _cmd_brackets(args):
-    mf = _load_model(args.file)
-    name, A = _first_closed_algebra(mf)
+def _cmd_brackets(args, name, A):
     L = brackets_from_ce(A)
     order = [n for n, _ in L.basis]
     lines = ["brackets of %s (basis %s)" % (name, ", ".join(order))]
@@ -224,9 +244,7 @@ def _cmd_brackets(args):
     return 0, result, [], lines
 
 
-def _cmd_is_sullivan(args):
-    mf = _load_model(args.file)
-    name, A = _first_algebra(mf)
+def _cmd_is_sullivan(args, name, A):
     cert = is_sullivan(A)
     if cert.ok:
         lines = ["%s: sullivan" % name,
@@ -240,9 +258,7 @@ def _cmd_is_sullivan(args):
         [{"cycle": cycle}], lines
 
 
-def _cmd_is_minimal(args):
-    mf = _load_model(args.file)
-    name, A = _first_algebra(mf)
+def _cmd_is_minimal(args, name, A):
     flag, offenders = is_minimal(A)
     if flag:
         return 0, {"algebra": name, "minimal": True}, [], \
@@ -254,22 +270,7 @@ def _cmd_is_minimal(args):
         [{"offenders": list(offenders)}], lines
 
 
-def _twisted_complex(args, mf):
-    if args.twist is not None:
-        base, form = _twist_form(mf, args.twist)
-    else:
-        _, base = _first_algebra(mf)
-        form = base.zero()
-    try:
-        return base, TwistedComplex(base, form, period=args.period,
-                                    truncation=args.max_degree)
-    except ValueError as e:
-        raise UsageError(str(e))
-
-
-def _cmd_twisted_cohomology(args):
-    mf = _load_model(args.file)
-    base, C = _twisted_complex(args, mf)
+def _cmd_twisted_cohomology(args, C):
     slices = twisted_cohomology(C)
     lines = ["twisted cohomology (period %d)" % C.period]
     dims = {}
@@ -289,20 +290,8 @@ _TWISTED_OPS = {"wedge-twist": op_wedge_twist,
                 "square-then-twist": op_square_then_twist}
 
 
-def _cmd_twisted_op(args):
-    mf = _load_model(args.file)
-    base, C = _twisted_complex(args, mf)
-    if args.rep not in mf.twists:
-        raise UsageError("no twist named %r in the file" % args.rep)
-    rep_decl = mf.twists[args.rep]
-    if mf.algebras[rep_decl.algebra] is not base:
-        raise UsageError("representative %r lives over a different algebra"
-                         % args.rep)
-    try:
-        cls = TwistedClass(C, rep_decl.form)
-        out = _TWISTED_OPS[args.op](C, cls)
-    except ValueError as e:
-        raise UsageError(str(e))
+def _cmd_twisted_op(args, C, cls):
+    out = _TWISTED_OPS[args.op](C, cls)
     lines = ["%s: %s  ->  %s (residue %d)"
              % (args.op, cls.rep, out.rep, out.residue)]
     result = {"op": args.op, "input": str(cls.rep),
@@ -311,9 +300,7 @@ def _cmd_twisted_op(args):
     return 0, result, [], lines
 
 
-def _cmd_chern(args):
-    mf = _load_model(args.file)
-    name, phi = _first_matrix(mf)
+def _cmd_chern(args, name, phi):
     kmax = (args.max_degree // 2) if args.max_degree is not None else phi.size
     forms = chern_forms(phi, kmax)
     lines = ["chern forms of %s" % name]
@@ -324,9 +311,7 @@ def _cmd_chern(args):
     return 0, result, [], lines
 
 
-def _cmd_pontrjagin(args):
-    mf = _load_model(args.file)
-    name, phi = _first_matrix(mf, antisymmetric=True)
+def _cmd_pontrjagin(args, name, phi):
     kmax = (args.max_degree // 4) if args.max_degree is not None \
         else max(phi.size // 2, 1)
     forms = pontrjagin_forms(phi, kmax)
@@ -338,19 +323,12 @@ def _cmd_pontrjagin(args):
     return 0, result, [], lines
 
 
-def _cmd_euler(args):
-    mf = _load_model(args.file)
-    name, phi = _first_matrix(mf, antisymmetric=True)
-    try:
-        e = euler_form(phi)
-    except ValueError as err:
-        raise UsageError(str(err))
+def _cmd_euler(args, name, phi):
+    e = euler_form(phi)
     return 0, {"matrix": name, "euler": str(e)}, [], ["e = %s" % e]
 
 
-def _cmd_i8(args):
-    mf = _load_model(args.file)
-    name, phi = _first_matrix(mf, antisymmetric=True)
+def _cmd_i8(args, name, phi):
     p1, p2 = pontrjagin_forms(phi, 2)
     val = i8(p1, p2)
     lines = ["p_1 = %s" % p1, "p_2 = %s" % p2, "I_8 = %s" % val]
@@ -363,17 +341,12 @@ def _flat_datum(mf, decl):
                          decl.morphism)
 
 
-def _cmd_verify_flat(args):
-    mf = _load_model(args.file)
+def _cmd_verify_flat(args, mf):
     morphs = _morphisms(mf)
     if not morphs:
         raise UsageError("the file declares no morphism")
     decl = morphs[0]
-    try:
-        F = _flat_datum(mf, decl)
-    except ValueError as e:
-        raise UsageError(str(e))
-    rep = verify_flat(F)
+    rep = verify_flat(_flat_datum(mf, decl))
     if rep.passed:
         return 0, {"datum": decl.name, "flat": True}, [], \
             ["%s: flat" % decl.name]
@@ -385,8 +358,7 @@ def _cmd_verify_flat(args):
     return 1, {"datum": decl.name, "flat": False}, witnesses, lines
 
 
-def _cmd_verify_twisted(args):
-    mf = _load_model(args.file)
+def _cmd_verify_twisted(args, mf):
     morphs = _morphisms(mf)
     if len(morphs) < 2:
         raise UsageError("verify-twisted needs two morphisms: the datum on "
@@ -394,13 +366,10 @@ def _cmd_verify_twisted(args):
     M, tau = morphs[0], morphs[1]
     if M.target != tau.target:
         raise UsageError("datum and twist land in different algebras")
-    try:
-        bundle = RelativeExtension(mf.algebras[tau.source],
-                                   mf.algebras[M.source])
-        T = TwistedFlatFormDatum(bundle, _flat_datum(mf, tau), M.morphism)
-    except ValueError as e:
-        raise UsageError(str(e))
-    rep = verify_twisted_flat(T)
+    bundle = RelativeExtension(mf.algebras[tau.source],
+                               mf.algebras[M.source])
+    rep = verify_twisted_flat(
+        TwistedFlatFormDatum(bundle, _flat_datum(mf, tau), M.morphism))
     lines = []
     witnesses = []
     if rep.sullivan.ok:
@@ -424,21 +393,14 @@ def _cmd_verify_twisted(args):
                               "passed": ok}, witnesses, lines
 
 
-def _cmd_verify_concordance(args):
-    mf = _load_model(args.file)
+def _cmd_verify_concordance(args, mf):
     morphs = _morphisms(mf)
     if len(morphs) < 2:
         raise UsageError("verify-concordance needs at least two morphisms")
-    try:
-        f0 = _flat_datum(mf, morphs[0])
-        f1 = _flat_datum(mf, morphs[1])
-    except ValueError as e:
-        raise UsageError(str(e))
+    f0 = _flat_datum(mf, morphs[0])
+    f1 = _flat_datum(mf, morphs[1])
     if len(morphs) == 2:
-        try:
-            ccd = decide_concordance(f0, f1, polybound=args.polybound)
-        except (NotImplementedError, ValueError) as e:
-            raise UsageError(str(e))
+        ccd = decide_concordance(f0, f1, polybound=args.polybound)
         if ccd is None:
             return 1, {"concordant": False}, [], ["concordant: no"]
         witnesses = [{"generator": g, "image": str(p)}
@@ -452,11 +414,8 @@ def _cmd_verify_concordance(args):
             "the third morphism must land in the cylinder algebra: base "
             "generators, then %s:0 and %s:1 with d %s = %s"
             % (cyl.t_name, cyl.dt_name, cyl.t_name, cyl.dt_name))
-    try:
-        ccd = ConcordanceDatum(cyl, f0, f1, third.morphism.assignment)
-    except ValueError as e:
-        raise UsageError(str(e))
-    rep = verify_concordance(ccd)
+    rep = verify_concordance(
+        ConcordanceDatum(cyl, f0, f1, third.morphism.assignment))
     lines = []
     witnesses = []
     for gen, res in rep.chain_failures:
@@ -472,17 +431,12 @@ def _cmd_verify_concordance(args):
     return (0 if ok else 1), {"concordant": ok}, witnesses, lines
 
 
-def _cmd_line_quotient(args):
-    mf = _load_model(args.file)
-    name, A = _first_algebra(mf)
+def _cmd_line_quotient(args, name, A):
     if args.max_degree is None:
         raise UsageError("line-quotient needs --max-degree (the line degree n)")
-    lattice = range(-2, 3)
     try:
-        res = line_quotient(A, args.max_degree, lattice,
+        res = line_quotient(A, args.max_degree, range(-2, 3),
                             polybound=args.polybound)
-    except ValueError as e:
-        raise UsageError(str(e))
     except RuntimeError as e:
         return 1, {"algebra": name, "error": str(e)}, [], [str(e)]
     lines = ["line coefficients of degree %d over %s"
@@ -503,7 +457,8 @@ def _random_monomial(rng, gens, max_even_exp=2):
     names = list(gens.names)
     rng.shuffle(names)
     expo = {}
-    for name in names[:rng.randint(1, min(3, len(names)))]:
+    for name in names[:rng.randint(min(1, len(names)),
+                                   min(3, len(names)))]:
         if gens.degree_of(name) % 2 == 1:
             expo[name] = 1
         else:
@@ -519,9 +474,7 @@ def _random_element(rng, gens):
     return out
 
 
-def _cmd_stokes_check(args):
-    mf = _load_model(args.file)
-    name, A = _first_algebra(mf)
+def _cmd_stokes_check(args, name, A):
     C = CylinderAlgebra(A)
     rng = random.Random(20260816)
     stokes = projection = 0
@@ -563,38 +516,42 @@ def _cmd_corpus(args):
     return 0, {"name": args.name, "text": text}, [], [text.rstrip("\n")]
 
 
-_HANDLERS = {
-    "check": (_cmd_check, "verify d^2 = 0 for every algebra in the file"),
-    "cohomology": (_cmd_cohomology,
+# command -> (handler, reader, help); corpus reads no model file.
+_COMMANDS = {
+    "check": (_cmd_check, _model,
+              "verify d^2 = 0 for every algebra in the file"),
+    "cohomology": (_cmd_cohomology, _closed_algebra,
                    "cohomology table of the first algebra"),
-    "minimal-model": (_cmd_minimal_model,
+    "minimal-model": (_cmd_minimal_model, _closed_algebra,
                       "minimal model of the first algebra"),
-    "brackets": (_cmd_brackets,
+    "brackets": (_cmd_brackets, _closed_algebra,
                  "bracket table read off the first algebra"),
-    "is-sullivan": (_cmd_is_sullivan,
+    "is-sullivan": (_cmd_is_sullivan, _algebra,
                     "well-founded generator order, or a cycle"),
-    "is-minimal": (_cmd_is_minimal,
+    "is-minimal": (_cmd_is_minimal, _algebra,
                    "minimality of the first algebra"),
-    "twisted-cohomology": (_cmd_twisted_cohomology,
+    "twisted-cohomology": (_cmd_twisted_cohomology, _twisted_complex,
                            "periodic twisted cohomology over a twist block"),
-    "twisted-op": (_cmd_twisted_op,
+    "twisted-op": (_cmd_twisted_op, _twisted_rep,
                    "apply a periodic operation to a representative"),
-    "chern": (_cmd_chern, "chern forms of the first matrix"),
-    "pontrjagin": (_cmd_pontrjagin,
+    "chern": (_cmd_chern, _matrix, "chern forms of the first matrix"),
+    "pontrjagin": (_cmd_pontrjagin, _antisymmetric_matrix,
                    "pontrjagin forms of the first (antisymmetric) matrix"),
-    "euler": (_cmd_euler, "euler form of the first (antisymmetric) matrix"),
-    "i8": (_cmd_i8, "the degree-8 polynomial (p2 - p1^2/4)/48"),
-    "verify-flat": (_cmd_verify_flat,
+    "euler": (_cmd_euler, _antisymmetric_matrix,
+              "euler form of the first (antisymmetric) matrix"),
+    "i8": (_cmd_i8, _antisymmetric_matrix,
+           "the degree-8 polynomial (p2 - p1^2/4)/48"),
+    "verify-flat": (_cmd_verify_flat, _model,
                     "check the first morphism as a flat form datum"),
-    "verify-twisted": (_cmd_verify_twisted,
+    "verify-twisted": (_cmd_verify_twisted, _model,
                        "check a twisted datum: morphisms M then tau"),
-    "verify-concordance": (_cmd_verify_concordance,
+    "verify-concordance": (_cmd_verify_concordance, _model,
                            "decide (2 morphisms) or verify (3) a concordance"),
-    "line-quotient": (_cmd_line_quotient,
+    "line-quotient": (_cmd_line_quotient, _closed_algebra,
                       "concordance classes of line-coefficient lattice data"),
-    "stokes-check": (_cmd_stokes_check,
+    "stokes-check": (_cmd_stokes_check, _algebra,
                      "fiberwise Stokes and projection on random elements"),
-    "corpus": (_cmd_corpus, "list or print built-in models"),
+    "corpus": (_cmd_corpus, None, "list or print built-in models"),
 }
 
 
@@ -610,7 +567,7 @@ def _build_parser():
         prog="ratho",
         description="exact rational homotopy calculations on model files")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (_, help_) in _HANDLERS.items():
+    for name, (_, _, help_) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_)
         if name == "corpus":
             p.add_argument("name", nargs="?", default=None)
@@ -640,13 +597,14 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 2
-    handler = _HANDLERS[args.command][0]
+    handler, reader, _ = _COMMANDS[args.command]
     try:
         if args.max_degree is not None and args.max_degree < 0:
             raise UsageError("--max-degree must be >= 0, got %d"
                              % args.max_degree)
-        code, result, witnesses, lines = handler(args)
-    except UsageError as e:
+        inputs = reader(args, _load_model(args.file)) if reader else ()
+        code, result, witnesses, lines = handler(args, *inputs)
+    except (ValueError, NotImplementedError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except ParseError as e:
@@ -654,10 +612,12 @@ def main(argv=None):
         return 2
     except CheckFailed as e:
         code, result, witnesses, lines = e.args
-    payload = {"command": args.command, "inputs": _jsonable(_inputs(args)),
-               "result": _jsonable(result),
-               "witnesses": _jsonable(witnesses)}
-    text = json.dumps(payload, indent=2) if args.json else "\n".join(lines)
+    if args.json:
+        text = json.dumps({"command": args.command, "inputs": _inputs(args),
+                           "result": result, "witnesses": witnesses},
+                          indent=2, default=str)
+    else:
+        text = "\n".join(lines)
     if args.out:
         try:
             with open(args.out, "w") as fh:

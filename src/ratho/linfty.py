@@ -279,8 +279,11 @@ def is_sullivan(A):
     Kahn's algorithm with declaration order breaking ties; on failure the
     certificate carries an explicit dependency cycle (self-loops count).
     """
-    names = list(A.gens.names)
-    deps = _dependencies(A)
+    return _order(list(A.gens.names), _dependencies(A))
+
+
+def _order(names, deps):
+    """Kahn's algorithm over names; deps maps each name to those it needs."""
     placed = set()
     order = []
     while len(order) < len(names):

@@ -24,7 +24,7 @@ from .core_algebra import (
     morphism_by_names,
 )
 from .dgca import DGCA, ChainMapError, _slices, is_chain_map, is_quasi_iso
-from .linfty import SullivanCertificate, _cycle_witness, _dependencies
+from .linfty import _dependencies, _order
 
 
 class BudgetExceeded(RuntimeError):
@@ -189,16 +189,7 @@ class RelativeReport:
 def _relative_sullivan(ext):
     deps = _dependencies(ext.total)
     new = list(ext.new_names)
-    restricted = {g: {h for h in deps[g] if h in ext.new_names} for g in new}
-    placed = set()
-    order = []
-    while len(order) < len(new):
-        ready = [g for g in new if g not in placed and restricted[g] <= placed]
-        if not ready:
-            return SullivanCertificate(cycle=_cycle_witness(new, restricted))
-        order.append(ready[0])
-        placed.add(ready[0])
-    return SullivanCertificate(order=order)
+    return _order(new, {g: deps[g].intersection(new) for g in new})
 
 
 def _minimality_offenders(ext):

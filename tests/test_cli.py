@@ -184,21 +184,34 @@ def test_check_fails_on_broken_differential(tmp_path, capsys):
     assert "d^2 != 0" in out
 
 
-@pytest.mark.parametrize("command", ["brackets", "cohomology",
-                                     "minimal-model"])
-def test_commands_on_broken_differential_exit_1(command, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["brackets"],
+    ["cohomology"],
+    ["minimal-model"],
+    ["line-quotient", "--max-degree", "1"],
+    ["twisted-cohomology", "--period", "1", "--max-degree", "6"],
+    ["twisted-op", "wedge-twist", "T", "--period", "1", "--max-degree", "6"],
+], ids=lambda argv: argv[0])
+def test_commands_on_broken_differential_exit_1(argv, tmp_path, capsys):
     f = tmp_path / "bad.dgca"
     f.write_text("algebra A { gen a:2; gen b:3; gen c:4; "
-                 "d b = a^2; d c = a*b; }")
-    code, out, err = _run([command, str(f)], capsys)
+                 "d b = a^2; d c = a*b; }\ntwist T : A = a;\n")
+    code, out, err = _run(argv + [str(f)], capsys)
     assert (code, out, err) == (1, "A: d^2 != 0 (d^2(c) = a^3)\n", "")
-    code, out, _ = _run([command, "--json", str(f)], capsys)
+    code, out, _ = _run(argv + ["--json", str(f)], capsys)
     assert code == 1
     payload = json.loads(out)
     jsonschema.validate(payload, _schema())
     assert payload["result"] == {"passed": False, "algebras": {"A": False}}
     assert payload["witnesses"] == [
         {"algebra": "A", "generator": "c", "residual": "a^3"}]
+
+
+def test_stokes_check_on_algebra_without_generators(tmp_path, capsys):
+    f = tmp_path / "empty.dgca"
+    f.write_text("algebra A { }\n")
+    code, out, err = _run(["stokes-check", str(f)], capsys)
+    assert (code, out, err) == (0, "stokes: 30/30\nprojection: 30/30\n", "")
 
 
 def test_cohomology_table_of_even_sphere(capsys):
