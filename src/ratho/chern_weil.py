@@ -115,29 +115,6 @@ def block_sum(a, b):
 
 # -- matrix arithmetic over the even subalgebra ---------------------------
 
-def _matmul(x, y, gens):
-    n = len(x)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = gens.zero()
-            for k in range(n):
-                if x[i][k].is_zero() or y[k][j].is_zero():
-                    continue
-                s = s + x[i][k] * y[k][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def _trace(entries, gens):
-    s = gens.zero()
-    for i in range(len(entries)):
-        s = s + entries[i][i]
-    return s
-
-
 def _det(entries, gens):
     # expansion along successive rows, memoized on the surviving columns;
     # valid because all entries commute
@@ -191,18 +168,25 @@ def chern_character(phi, cutoff):
 
     ch = n + sum_{k>=1} tr(phi^k)/k!, truncated after the degree-cutoff
     term; the result is an inhomogeneous even element whose degree-0 part
-    is the matrix size.
+    is the matrix size.  No matrix power is formed: p_k = tr(phi^k) comes
+    from the Chern forms e_k (zero past the size) by Newton's identities
+    p_k = sum_{i<k} (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k, which hold
+    over any commutative ring, and degree-2 entries commute.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    e = chern_forms(phi, cutoff // 2)
     out = phi.gens.constant(phi.size)
-    power = [[phi.gens.one() if i == j else phi.gens.zero()
-              for j in range(phi.size)] for i in range(phi.size)]
+    p = []
     fact = 1
-    for k in range(1, cutoff // 2 + 1):
-        power = _matmul(power, phi.entries, phi.gens)
+    for k in range(1, len(e) + 1):
+        pk = e[k - 1] * (k if k % 2 else -k)
+        for i in range(1, k):
+            term = e[i - 1] * p[k - i - 1]
+            pk = pk + term if i % 2 else pk - term
+        p.append(pk)
         fact *= k
-        out = out + _trace(power, phi.gens) / fact
+        out = out + pk / fact
     return out
 
 

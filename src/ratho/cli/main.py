@@ -13,9 +13,9 @@ the loaded model file into the handler's inputs, and its help line.
 main() alone loads the file, runs the reader and the handler, and maps
 errors: ParseError and any ValueError or NotImplementedError (UsageError
 is one) end with exit 2.  The closed readers (_closed_algebra,
-_twisted_complex, _twisted_rep) check d^2 = 0 on the algebra they hand
-over and raise CheckFailed with check's outcome, so every command that
-needs a closed algebra passes through the same gate.
+_twisted_complex, _twisted_rep) and _flat_datum check d^2 = 0 on the
+algebras they hand over and raise CheckFailed with check's outcome, so
+every command that needs a closed algebra passes through the same gate.
 """
 
 import argparse
@@ -119,12 +119,11 @@ def _d_squared(mf, names):
             {"passed": ok, "algebras": outcomes}, witnesses, lines)
 
 
-def _closed(mf, name):
-    """name and its algebra; CheckFailed with check's outcome if d^2 != 0."""
-    outcome = _d_squared(mf, [name])
+def _closed(mf, *names):
+    """Gate the named algebras: CheckFailed with check's outcome if d^2 != 0."""
+    outcome = _d_squared(mf, list(dict.fromkeys(names)))
     if outcome[0]:
         raise CheckFailed(*outcome)
-    return name, mf.algebras[name]
 
 
 # -- readers: the loaded model file -> a handler's inputs ---------------------
@@ -142,7 +141,9 @@ def _algebra(args, mf):
 
 
 def _closed_algebra(args, mf):
-    return _closed(mf, _algebra(args, mf)[0])
+    name, A = _algebra(args, mf)
+    _closed(mf, name)
+    return name, A
 
 
 def _twisted_complex(args, mf):
@@ -153,8 +154,8 @@ def _twisted_complex(args, mf):
     else:
         t = _twist(mf, args.twist)
         name, form = t.algebra, t.form
-    _, base = _closed(mf, name)
-    return (TwistedComplex(base, form, period=args.period,
+    _closed(mf, name)
+    return (TwistedComplex(mf.algebras[name], form, period=args.period,
                            truncation=args.max_degree),)
 
 
@@ -186,6 +187,7 @@ def _antisymmetric_matrix(args, mf):
 
 
 def _cmd_check(args, mf):
+    _algebra(args, mf)  # a file without algebras is a usage error
     return _d_squared(mf, [n for k, n in mf.order if k == "algebra"])
 
 
@@ -337,6 +339,8 @@ def _cmd_i8(args, name, phi):
 
 
 def _flat_datum(mf, decl):
+    """decl as a flat form datum, once both its algebras pass the d^2 gate."""
+    _closed(mf, decl.source, decl.target)
     return FlatFormDatum(mf.algebras[decl.source], mf.algebras[decl.target],
                          decl.morphism)
 
@@ -366,10 +370,11 @@ def _cmd_verify_twisted(args, mf):
     M, tau = morphs[0], morphs[1]
     if M.target != tau.target:
         raise UsageError("datum and twist land in different algebras")
+    twist = _flat_datum(mf, tau)
+    _closed(mf, M.source)
     bundle = RelativeExtension(mf.algebras[tau.source],
                                mf.algebras[M.source])
-    rep = verify_twisted_flat(
-        TwistedFlatFormDatum(bundle, _flat_datum(mf, tau), M.morphism))
+    rep = verify_twisted_flat(TwistedFlatFormDatum(bundle, twist, M.morphism))
     lines = []
     witnesses = []
     if rep.sullivan.ok:

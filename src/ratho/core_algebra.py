@@ -10,12 +10,15 @@ monomial of the merged exponents, times (-1)^k where k counts the pairs
 of odd generators that must cross during the merge (odd generator i
 active in the right factor, odd generator j > i active in the left one).
 This realizes graded commutativity a*b = (-1)^{|a||b|} b*a.
+normalize_product walks the odd generators right to left, adding for each
+odd factor of the right monomial the odd factors of the left one above it.
 
 No floating point anywhere: coefficients are fractions.Fraction.
 """
 
 from fractions import Fraction
 from collections import namedtuple
+from operator import add
 
 Generator = namedtuple("Generator", ["name", "degree"])
 
@@ -48,6 +51,7 @@ class GeneratorSet:
         self.degrees = tuple(g.degree for g in gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.odd = tuple(d % 2 == 1 for d in self.degrees)
+        self.odd_indices = tuple(i for i, o in enumerate(self.odd) if o)
 
     def __len__(self):
         return len(self.gens)
@@ -132,16 +136,15 @@ def normalize_product(gens, m1, m2):
     """
     if len(m1) != len(gens.gens) or len(m2) != len(gens.gens):
         raise GeneratorSetMismatch("monomial over a different generator set")
-    inv = 0
-    left_odd = [j for j in range(len(m1)) if m1[j] and gens.odd[j]]
-    for i in range(len(m2)):
-        if m2[i] and gens.odd[i]:
+    inv = above = 0  # above: odd factors of m1 past the current index
+    for i in reversed(gens.odd_indices):
+        if m2[i]:
             if m1[i]:
                 return None
-            # count odd factors of m1 that the incoming factor crosses
-            inv += sum(1 for j in left_odd if j > i)
-    merged = tuple(a + b for a, b in zip(m1, m2))
-    return (-1 if inv % 2 else 1, merged)
+            inv += above
+        elif m1[i]:
+            above += 1
+    return (-1 if inv & 1 else 1, tuple(map(add, m1, m2)))
 
 
 class Polynomial:

@@ -34,6 +34,7 @@ from .core_algebra import (
     apply_morphism,
     basis_of_degree,
     gens_of,
+    normalize_product,
 )
 
 
@@ -102,28 +103,35 @@ class DGCA:
 
 
 def apply_d(A, p):
-    """Extend the generator assignment as a degree +1 graded derivation."""
+    """Extend the generator assignment as a degree +1 graded derivation.
+
+    d(prefix * x_i^e * suffix) has the term (-1)^|prefix| e * prefix *
+    x_i^(e-1) * d(x_i) * suffix.  The terms of each nonzero d(x_i) are read
+    once per call as (exponents, coefficient) pairs, a derivation table, and
+    exponents merge through normalize_product into one dict.  Nothing is
+    stored on A, which is mutable.
+    """
     gens = A.gens
     if p.gens != gens:
         raise ValueError("polynomial not over the algebra")
-    out = gens.zero()
-    n = len(gens)
+    table = [(i, list(A.d[x].terms.items()))
+             for i, x in enumerate(gens.names) if A.d[x].terms]
+    out = {}
     for m, c in p.terms.items():
-        for i in range(n):
+        for i, dterms in table:
             e = m[i]
             if e == 0:
                 continue
-            dgi = A.d[gens.names[i]]
-            if dgi.is_zero():
-                continue
-            prefix = list(m[:i]) + [e - 1] + [0] * (n - i - 1)
-            suffix = [0] * (i + 1) + list(m[i + 1:])
-            pre_deg = gens.monomial_degree(prefix)
-            sign = -1 if pre_deg % 2 else 1
-            term = gens.from_exponents(prefix, c * e * sign)
-            term = term * dgi * gens.from_exponents(suffix)
-            out = out + term
-    return out
+            prefix = m[:i] + (e - 1,) + (0,) * (len(m) - i - 1)
+            suffix = (0,) * (i + 1) + m[i + 1:]
+            ce = -c * e if gens.monomial_degree(prefix) % 2 else c * e
+            for dm, dc in dterms:
+                left = normalize_product(gens, prefix, dm)
+                right = left and normalize_product(gens, left[1], suffix)
+                if right:
+                    term = ce * dc if left[0] == right[0] else -ce * dc
+                    out[right[1]] = out.get(right[1], 0) + term
+    return Polynomial(gens, out)
 
 
 class DSquaredReport:

@@ -20,10 +20,10 @@ from ratho.chern_weil import (
     inv_ring_sp2,
     pfaffian,
     pontrjagin_forms,
-    _matmul,
-    _trace,
 )
 from ratho.dgca import check_d_squared, cohomology_dims
+
+from _poly_oracle import _matmul, _trace
 
 
 def _even_gens(*names):

@@ -207,6 +207,47 @@ def test_commands_on_broken_differential_exit_1(argv, tmp_path, capsys):
         {"algebra": "A", "generator": "c", "residual": "a^3"}]
 
 
+@pytest.mark.parametrize("command", [
+    "verify-flat", "verify-twisted", "verify-concordance"])
+def test_verify_commands_on_broken_differential_exit_1(command, tmp_path,
+                                                      capsys):
+    broken = "{ gen a:2; gen b:3; gen c:4; d b = a^2; d c = a*b; }\n"
+    f = tmp_path / "bad.dgca"
+    f.write_text("algebra A " + broken + "algebra B " + broken
+                 + "morphism F : A -> B { a = a; b = b; c = c; }\n"
+                 "morphism G : A -> B { a = a; b = b; c = c; }\n")
+    check = _run(["check", str(f)], capsys)
+    assert check == (1, "A: d^2 != 0 (d^2(c) = a^3)\n"
+                        "B: d^2 != 0 (d^2(c) = a^3)\n", "")
+    assert _run([command, str(f)], capsys) == check
+    code, out, _ = _run([command, "--json", str(f)], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema())
+    assert payload["result"] == {"passed": False,
+                                 "algebras": {"A": False, "B": False}}
+    assert payload["witnesses"] == [
+        {"algebra": n, "generator": "c", "residual": "a^3"} for n in "AB"]
+
+
+def test_verify_flat_gates_the_target_algebra(tmp_path, capsys):
+    f = tmp_path / "bad.dgca"
+    f.write_text("algebra L { gen x:2; }\n"
+                 "algebra A { gen a:2; gen b:3; gen c:4; "
+                 "d b = a^2; d c = a*b; }\n"
+                 "morphism F : L -> A { x = a; }\n")
+    assert _run(["verify-flat", str(f)], capsys) == (
+        1, "L: d^2 = 0\nA: d^2 != 0 (d^2(c) = a^3)\n", "")
+
+
+def test_check_on_file_without_algebra_exits_2(tmp_path, capsys):
+    f = tmp_path / "none.dgca"
+    f.write_text("# nothing declared\n")
+    for argv in (["check", str(f)], ["check", "--json", str(f)]):
+        assert _run(argv, capsys) == (
+            2, "", "error: the file declares no algebra\n")
+
+
 def test_stokes_check_on_algebra_without_generators(tmp_path, capsys):
     f = tmp_path / "empty.dgca"
     f.write_text("algebra A { }\n")

@@ -1,0 +1,110 @@
+"""The polynomial layer's fast paths against the kernels they replaced.
+
+_poly_oracle holds the earlier normalize_product, apply_d and matrix-power
+chern_character.  Random algebras mix odd, even and degree-0 generators,
+and random monomials carry odd exponents up to 1 and even ones up to 2, so
+every Koszul sign case and every vanishing odd square is reached.  The
+Chern character is checked against traces of matrix powers, which do not
+go through the Chern forms it is now read from.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ratho.chern_weil import CurvatureMatrix, chern_character
+from ratho.core_algebra import (GeneratorSet, Polynomial, basis_of_degree,
+                                normalize_product)
+from ratho.dgca import DGCA, apply_d
+
+import _poly_oracle as oracle
+
+_COEFFS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def _generators(draw):
+    degrees = draw(st.lists(st.integers(0, 4), min_size=2, max_size=6))
+    return GeneratorSet([("x%d" % i, d) for i, d in enumerate(degrees)])
+
+
+def _monomial(gens):
+    return st.tuples(*[st.integers(0, 1 if odd else 2) for odd in gens.odd])
+
+
+@st.composite
+def _polynomial(draw, gens):
+    monomials = draw(st.lists(_monomial(gens), min_size=1, max_size=6))
+    return Polynomial(gens, {m: Fraction(draw(_COEFFS.filter(bool)))
+                             for m in monomials})
+
+
+@st.composite
+def _algebra(draw):
+    gens = draw(_generators())
+    d = {}
+    for name, degree in zip(gens.names, gens.degrees):
+        # polybound 2 keeps the slice finite when degree-0 generators exist
+        basis = basis_of_degree(gens, degree + 1, 2)
+        d[name] = Polynomial(gens, {m: Fraction(draw(_COEFFS))
+                                    for m in basis})
+    return DGCA(gens, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normalize_product_matches_oracle(data):
+    gens = data.draw(_generators())
+    m1 = data.draw(_monomial(gens))
+    m2 = data.draw(_monomial(gens))
+    assert normalize_product(gens, m1, m2) == \
+        oracle.normalize_product(gens, m1, m2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_d_matches_oracle(data):
+    A = data.draw(_algebra())
+    p = data.draw(_polynomial(A.gens))
+    assert apply_d(A, p).terms == oracle.apply_d(A, p).terms
+
+
+_CHERN_GENS = GeneratorSet([("u", 2), ("v", 2), ("a", 1), ("b", 1)])
+
+
+@st.composite
+def _curvature(draw):
+    """Square matrix of degree-2 entries in u, v and a*b, zeros included."""
+    n = draw(st.integers(1, 5))
+    G = _CHERN_GENS
+    span = [G.gen("u"), G.gen("v"), G.gen("a") * G.gen("b")]
+    entries = [[sum((draw(st.sampled_from([0, 0, 0, 1, -1, 2])) * x
+                     for x in span), G.zero())
+                for _ in range(n)] for _ in range(n)]
+    return CurvatureMatrix(entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_curvature(), st.integers(0, 14))
+def test_chern_character_matches_trace_of_powers(phi, cutoff):
+    assert chern_character(phi, cutoff) == oracle.chern_character(phi, cutoff)
+
+
+def _fixed_curvature(n):
+    """n x n entries cycling through zero, u, v, a*b and their mixtures.
+
+    The diagonal is not all zero, so tr(phi) = p_1 feeds Newton's identities.
+    """
+    G = _CHERN_GENS
+    u, v, ab = G.gen("u"), G.gen("v"), G.gen("a") * G.gen("b")
+    cycle = [G.zero(), u, v - 2 * u, ab, u + ab, G.zero(), -v, 3 * ab - v]
+    return CurvatureMatrix([[cycle[(2 * i + 5 * j + 1) % len(cycle)]
+                             for j in range(n)] for i in range(n)])
+
+
+def test_chern_character_matches_trace_of_powers_every_cutoff():
+    for n in range(1, 6):
+        phi = _fixed_curvature(n)
+        for cutoff in range(15):
+            assert chern_character(phi, cutoff) == \
+                oracle.chern_character(phi, cutoff), (n, cutoff)
