@@ -16,11 +16,18 @@ directions, with witnesses either way:
   * the h3-twisted periodic family, where they are twisted cohomology
     classes of odd residue.
 
+Both are decided by one construction, the straight cylinder
+(1-t) F0 + t F1 + dt h, where the witness h is a primitive of F1 - F0.
+Each family supplies its own pair (d, primitive): apply_d and is_exact
+for line data, twisted_d and twisted_is_exact for twisted data.  A
+witness found gives the concordance; none found refutes it.
+
 Residuals in every report follow one convention: image of the source
 differential minus differential of the image, so a residual states how far
 the form-side derivative falls short of what the coefficients demand.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -42,23 +49,33 @@ class NotConcordant(ValueError):
     """Two data provably have no concordance: their classes differ."""
 
 
+def _morphism(coefficients, target, assignment):
+    """assignment as a morphism coefficients -> target.
+
+    A prebuilt AlgebraMorphism is taken as it is once its endpoints match.
+    """
+    if not isinstance(assignment, AlgebraMorphism):
+        return AlgebraMorphism(coefficients, target, assignment)
+    if gens_of(assignment.source) != coefficients.gens \
+            or gens_of(assignment.target) != target.gens:
+        raise ValueError("morphism endpoints do not match the datum")
+    return assignment
+
+
 class FlatFormDatum:
     """Generator assignment from a coefficient algebra into a target.
 
     Flatness (the chain-map property) is a certified property of the
-    datum, checked by verify_flat, not a constructor assumption.
+    datum, checked by verify_flat, not a constructor assumption.  An
+    untwisted datum has no bundle and no twist.
     """
+
+    bundle = twist = None
 
     def __init__(self, coefficients, target, assignment):
         self.coefficients = coefficients
         self.target = target
-        if isinstance(assignment, AlgebraMorphism):
-            if gens_of(assignment.source) != coefficients.gens \
-                    or gens_of(assignment.target) != target.gens:
-                raise ValueError("morphism endpoints do not match the datum")
-            self.morphism = assignment
-        else:
-            self.morphism = AlgebraMorphism(coefficients, target, assignment)
+        self.morphism = _morphism(coefficients, target, assignment)
 
     def image(self, name):
         return self.morphism.assignment[name]
@@ -123,11 +140,7 @@ class TwistedFlatFormDatum:
         self.twist = twist
         self.coefficients = bundle.total
         self.target = twist.target
-        if isinstance(assignment, AlgebraMorphism):
-            self.morphism = assignment
-        else:
-            self.morphism = AlgebraMorphism(
-                bundle.total, self.target, assignment)
+        self.morphism = _morphism(bundle.total, self.target, assignment)
 
     def image(self, name):
         return self.morphism.assignment[name]
@@ -201,11 +214,8 @@ class ConcordanceDatum:
         self.f0 = f0
         self.f1 = f1
         self.coefficients = f0.coefficients
-        if isinstance(assignment, AlgebraMorphism):
-            self.morphism = assignment
-        else:
-            self.morphism = AlgebraMorphism(
-                self.coefficients, cylinder.algebra, assignment)
+        self.morphism = _morphism(self.coefficients, cylinder.algebra,
+                                  assignment)
         self.bundle = bundle
         self.twist = twist
 
@@ -270,10 +280,7 @@ def constant_concordance(F):
     cyl = CylinderAlgebra(F.target)
     assignment = {name: cyl.inclusion(F.morphism.assignment[name])
                   for name in F.coefficients.gens.names}
-    bundle = twist = None
-    if isinstance(F, TwistedFlatFormDatum):
-        bundle, twist = F.bundle, F.twist
-    return ConcordanceDatum(cyl, F, F, assignment, bundle, twist)
+    return ConcordanceDatum(cyl, F, F, assignment, F.bundle, F.twist)
 
 
 def reverse_concordance(ccd):
@@ -298,18 +305,53 @@ def _form(datum, names):
     return out
 
 
-def _certify_classes(classes, names, d, primitive, concordance, kind,
-                     exact):
+def _straight_concordance(f0, f1, names, d, primitive, witness=None,
+                          bundle=None, twist=None):
+    """The straight cylinder from f0 to f1, with dt times a witness.
+
+    F0 and F1 sum the endpoints' images of names, and the witness h has
+    d(h) = F1 - F0: a given one is checked, an omitted one is
+    primitive(F1 - F0), and where that is None no concordance exists.
+    Each named generator g takes the degree |g|-1 part of h after dt; each
+    base generator of bundle maps to the constant inclusion of its image
+    under twist.
+    """
+    diff = _form(f1, names) - _form(f0, names)
+    if witness is None:
+        witness = primitive(diff)
+        if witness is None:
+            raise NotConcordant("the endpoint forms differ in class; "
+                                "no concordance exists")
+    elif not (d(witness) - diff).is_zero():
+        raise ValueError("dh does not equal the endpoint difference")
+    parts = witness.homogeneous_parts()
+    cyl = CylinderAlgebra(f0.target)
+    t = cyl.algebra.gen(cyl.t_name)
+    dt = cyl.algebra.gen(cyl.dt_name)
+    assignment = {}
+    if bundle is not None:
+        for b in bundle.base.gens.names:
+            assignment[b] = cyl.inclusion(twist.image(b))
+    gens = f0.coefficients.gens
+    for name in names:
+        h = parts.get(gens.degree_of(name) - 1, f0.target.zero())
+        assignment[name] = ((1 - t) * cyl.inclusion(f0.image(name))
+                            + t * cyl.inclusion(f1.image(name))
+                            + dt * cyl.inclusion(h))
+    return ConcordanceDatum(cyl, f0, f1, assignment, bundle, twist)
+
+
+def _certify_classes(classes, names, d, primitive):
     """Certify a grouping of flat data into concordance classes, both ways.
 
     classes maps a class key to its member data; a datum's form is the sum
     of its images of names, d is the target's differential and
-    primitive(x) a y with d(y) = x, or None.  Within a class,
-    concordance(d0, d1, witness) joins each member to the first; it is
-    verified and its fiber-integrated witness re-checked against the
-    difference of forms.  Across classes, the differences of first members
-    must have no primitive: all pairs up to 16 classes, else a chain and a
-    star.  Returns (concordances, refusals).
+    primitive(x) a y with d(y) = x, or None.  Within a class the straight
+    cylinder joins each member to the first; it is verified and its
+    fiber-integrated witness re-checked against the difference of forms.
+    Across classes, the differences of first members must have no
+    primitive: all pairs up to 16 classes, else a chain and a star.
+    Returns (concordances, refusals).
     """
     concordances = refusals = 0
     for members in classes.values():
@@ -317,14 +359,14 @@ def _certify_classes(classes, names, d, primitive, concordance, kind,
         if not verify_concordance(constant_concordance(d0)).passed:
             raise RuntimeError("constant concordance failed verification")
         for d1 in members[1:]:
-            diff = _form(d1, names) - _form(d0, names)
-            ccd = concordance(d0, d1, primitive(diff))
+            ccd = _straight_concordance(d0, d1, names, d, primitive,
+                                        bundle=d0.bundle, twist=d0.twist)
             if not verify_concordance(ccd).passed:
-                raise RuntimeError("%s concordance failed verification" % kind)
+                raise RuntimeError("straight concordance failed verification")
             h = d0.target.zero()
             for name in names:
                 h = h + fiber_integrate(ccd.cylinder, ccd.image(name))
-            if not (d(h) - diff).is_zero():
+            if not (d(h) - _form(d1, names) + _form(d0, names)).is_zero():
                 raise RuntimeError("extracted witness does not integrate "
                                    "the endpoint difference")
             concordances += 1
@@ -337,9 +379,40 @@ def _certify_classes(classes, names, d, primitive, concordance, kind,
     for i, j in pairs:
         if primitive(_form(reps[j], names)
                      - _form(reps[i], names)) is not None:
-            raise RuntimeError("distinct classes had %s difference" % exact)
+            raise RuntimeError("distinct classes had a difference with a "
+                               "primitive")
         refusals += 1
     return concordances, refusals
+
+
+class QuotientResult:
+    """Concordance classes of lattice data, certified both ways.
+
+    classes maps a canonical class key to its members, and reps holds the
+    form of one member per class, in first-seen order.  concordances
+    counts the straight cylinders built within classes, each verified with
+    its fiber-integrated witness re-checked; refusals counts the
+    differences across classes certified to have no primitive.  A line
+    result carries h_dim, the cohomology dimension; a twisted one carries
+    complex, the twisted de Rham complex its keys were computed in.
+    """
+
+    def __init__(self, classes, reps, concordances, refusals, h_dim=None,
+                 complex_=None):
+        self.classes = classes
+        self.reps = reps
+        self.concordances = concordances
+        self.refusals = refusals
+        self.h_dim = h_dim
+        self.complex = complex_
+
+    @property
+    def class_count(self):
+        return len(self.classes)
+
+    def __repr__(self):
+        return ("QuotientResult(classes=%d, concordances=%d, refusals=%d)"
+                % (self.class_count, self.concordances, self.refusals))
 
 
 # -- line coefficients -------------------------------------------------------
@@ -365,11 +438,11 @@ def _line_generator(F):
 
 
 def linear_concordance(f0, f1, h=None, polybound=None):
-    """Straight-line concordance between two line-coefficient data.
+    """Straight cylinder between two line-coefficient data.
 
-    The cylinder form is (1-t) F0 + t F1 + dt h with dh = F1 - F0.  When
-    h is omitted an exactness witness is searched for; if none exists the
-    construction is refused, because no concordance exists at all.
+    The witness h has dh = F1 - F0.  When h is omitted an exactness
+    witness is searched for; if none exists the construction is refused,
+    because no concordance exists at all.
     """
     c = _line_generator(f0)
     if c != _line_generator(f1):
@@ -377,53 +450,8 @@ def linear_concordance(f0, f1, h=None, polybound=None):
     if f0.target.gens != f1.target.gens:
         raise ValueError("endpoints have different targets")
     omega = f0.target
-    a0 = f0.image(c)
-    a1 = f1.image(c)
-    diff = a1 - a0
-    if h is None:
-        h = is_exact(omega, diff, polybound)
-        if h is None:
-            raise NotConcordant(
-                "difference of the endpoint forms is not exact; "
-                "no concordance exists")
-    elif not (apply_d(omega, h) - diff).is_zero():
-        raise ValueError("dh does not equal the endpoint difference")
-    cyl = CylinderAlgebra(omega)
-    t = cyl.algebra.gen(cyl.t_name)
-    dt = cyl.algebra.gen(cyl.dt_name)
-    img = ((1 - t) * cyl.inclusion(a0) + t * cyl.inclusion(a1)
-           + dt * cyl.inclusion(h))
-    return ConcordanceDatum(cyl, f0, f1, {c: img})
-
-
-class LineQuotientResult:
-    """Concordance classes of line-coefficient lattice data.
-
-    classes maps a canonical cohomology-class key to the list of member
-    forms; reps holds one form per class in first-seen order.  The
-    bookkeeping fields count the certificates produced while grouping:
-    explicit concordances within classes (with their Stokes-extracted
-    witnesses re-checked) and exactness refutations across classes.
-    """
-
-    def __init__(self, classes, reps, h_dim, lattice, concordances,
-                 refusals, witness_checks):
-        self.classes = classes
-        self.reps = reps
-        self.h_dim = h_dim
-        self.lattice = lattice
-        self.concordances = concordances
-        self.refusals = refusals
-        self.witness_checks = witness_checks
-
-    @property
-    def class_count(self):
-        return len(self.classes)
-
-    def __repr__(self):
-        return ("LineQuotientResult(classes=%d, h_dim=%d, concordances=%d, "
-                "refusals=%d)" % (self.class_count, self.h_dim,
-                                  self.concordances, self.refusals))
+    return _straight_concordance(f0, f1, [c], lambda y: apply_d(omega, y),
+                                 lambda x: is_exact(omega, x, polybound), h)
 
 
 def line_quotient(omega, n, lattice, polybound=None):
@@ -432,10 +460,10 @@ def line_quotient(omega, n, lattice, polybound=None):
     Enumerates data F(c) over the lattice span of a cocycle basis in
     degree n+1 and groups them by cohomology class (canonical echelon
     residue).  The grouping is certified in both directions: within each
-    class an explicit linear concordance to the class representative is
-    built, verified, and its fiber-integration witness re-checked against
-    the endpoint difference; across classes exactness of the difference
-    is refuted.  Classes therefore coincide with cohomology classes.
+    class the straight cylinder to the class representative is built,
+    verified, and its fiber-integration witness re-checked against the
+    endpoint difference; across classes exactness of the difference is
+    refuted.  Classes therefore coincide with cohomology classes.
     """
     lattice = [Fraction(v) for v in lattice]
     k = n + 1
@@ -450,12 +478,9 @@ def line_quotient(omega, n, lattice, polybound=None):
             for key, members in classes.items()}
     concordances, refusals = _certify_classes(
         data, line_algebra(n).gens.names, lambda y: apply_d(omega, y),
-        lambda x: cx.primitive(k, x),
-        lambda d0, d1, w: linear_concordance(d0, d1, w, polybound),
-        "linear", "an exact")
-    return LineQuotientResult(classes, reps,
-                              len(h.kernel) - len(h.boundaries), lattice,
-                              concordances, refusals, concordances)
+        lambda x: cx.primitive(k, x))
+    return QuotientResult(classes, reps, concordances, refusals,
+                          h_dim=len(h.kernel) - len(h.boundaries))
 
 
 # -- the h3-twisted periodic family ------------------------------------------
@@ -478,21 +503,15 @@ def twisted_ku_bundle(kmax):
     return RelativeExtension(DGCA([("h3", 3)]), total)
 
 
-def _twist_form(T):
-    (name,) = T.bundle.base.gens.names
-    return T.twist.image(name)
-
-
 def twisted_linear_concordance(t0d, t1d, witness=None, complex_=None):
-    """Concordance between two data of the h3-twisted periodic family.
+    """Straight cylinder between two data of the h3-twisted periodic family.
 
-    Both data must share the bundle and the twist.    The cylinder form on
-    each level-k generator is (1-t) F0_k + t F1_k + dt h_{k-1}, where the
-    even form h collects the components of a twisted exactness witness:
-    twisted_d(h) = (F1 - F0) summed over all levels.  When the witness is
-    omitted it is searched in the twisted complex of the target; if none
-    exists the construction is refused, because concordant data have equal
-    twisted classes.
+    Both data must share the bundle and the twist.  The even witness h has
+    twisted_d(h) = F1 - F0 summed over all levels, and a level-k generator
+    takes its degree k-1 component.  When the witness is omitted it is
+    searched in the twisted complex of the target; if none exists the
+    construction is refused, because concordant data have equal twisted
+    classes.
     """
     if t0d.bundle is not t1d.bundle and not (
             _same_presentation(t0d.bundle.base, t1d.bundle.base)
@@ -500,65 +519,13 @@ def twisted_linear_concordance(t0d, t1d, witness=None, complex_=None):
         raise ValueError("endpoints live over different bundles")
     if t0d.twist.morphism != t1d.twist.morphism:
         raise ValueError("endpoints have different twists")
-    omega = t0d.target
-    H = _twist_form(t0d)
     if complex_ is None:
-        complex_ = TwistedComplex(omega, H)
-    names = t0d.bundle.new_names
-    diff = _form(t1d, names) - _form(t0d, names)
-    if witness is None:
-        witness = twisted_is_exact(complex_, diff)
-        if witness is None:
-            raise NotConcordant(
-                "twisted classes of the endpoints differ; "
-                "no concordance exists")
-    elif not (twisted_d(complex_, witness) - diff).is_zero():
-        raise ValueError(
-            "twisted differential of the witness does not equal the "
-            "endpoint difference")
-    parts = witness.homogeneous_parts()
-    cyl = CylinderAlgebra(omega)
-    t = cyl.algebra.gen(cyl.t_name)
-    dt = cyl.algebra.gen(cyl.dt_name)
-    assignment = {}
-    for b in t0d.bundle.base.gens.names:
-        assignment[b] = cyl.inclusion(t0d.twist.image(b))
-    for name in t0d.bundle.new_names:
-        deg = t0d.bundle.total.gens.degree_of(name)
-        h_part = parts.get(deg - 1, omega.zero())
-        assignment[name] = ((1 - t) * cyl.inclusion(t0d.image(name))
-                            + t * cyl.inclusion(t1d.image(name))
-                            + dt * cyl.inclusion(h_part))
-    return ConcordanceDatum(cyl, t0d, t1d, assignment,
-                            t0d.bundle, t0d.twist)
-
-
-class TwistedQuotientResult:
-    """Concordance classes of lattice data in the twisted periodic family.
-
-    classes maps canonical odd-residue class keys to lists of data; reps
-    holds the total odd form of one member per class.  complex_ is the
-    twisted de Rham complex the keys were computed in.
-    """
-
-    def __init__(self, classes, reps, complex_, lattice, concordances,
-                 refusals, witness_checks):
-        self.classes = classes
-        self.reps = reps
-        self.complex = complex_
-        self.lattice = lattice
-        self.concordances = concordances
-        self.refusals = refusals
-        self.witness_checks = witness_checks
-
-    @property
-    def class_count(self):
-        return len(self.classes)
-
-    def __repr__(self):
-        return ("TwistedQuotientResult(classes=%d, concordances=%d, "
-                "refusals=%d)" % (self.class_count, self.concordances,
-                                  self.refusals))
+        (b,) = t0d.bundle.base.gens.names
+        complex_ = TwistedComplex(t0d.target, t0d.twist.image(b))
+    return _straight_concordance(
+        t0d, t1d, t0d.bundle.new_names, lambda y: twisted_d(complex_, y),
+        lambda x: twisted_is_exact(complex_, x), witness, t0d.bundle,
+        t0d.twist)
 
 
 def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
@@ -569,75 +536,53 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     particular solution plus a lattice combination of closed forms of
     degree k.  Data are grouped by the canonical key of their total odd
     form in the twisted complex, and the grouping is certified both ways:
-    within a class an explicit twisted concordance is built, verified,
-    and its fiber-integration witness re-checked; across classes twisted
+    within a class the straight cylinder is built, verified, and its
+    fiber-integration witness re-checked; across classes twisted
     exactness of the difference is refuted.
     """
     lattice = [Fraction(v) for v in lattice]
     bundle = twisted_ku_bundle(kmax)
-    base = bundle.base
-    twist = FlatFormDatum(base, omega, {"h3": twist_form})
+    twist = FlatFormDatum(bundle.base, omega, {"h3": twist_form})
     C = TwistedComplex(omega, twist_form)
-    top = sum(omega.gens.degrees)
-    levels = [bundle.total.gens.degree_of(n) for n in bundle.new_names]
     slices = _slices(omega, None)
     residues = _residues(C)
-
-    def extend(images, idx):
-        if idx == len(levels):
-            yield dict(images)
-            return
-        deg = levels[idx]
-        name = "f%d" % deg
-        if deg == 1:
-            source = omega.zero()
-        else:
-            source = twist_form * images["f%d" % (deg - 2)]
-        if deg > top:
-            if not source.is_zero():
-                raise ValueError(
-                    "lattice datum admits no flat extension at level %d"
-                    % deg)
-            images[name] = omega.zero()
-            for out in extend(images, idx + 1):
-                yield out
-            return
-        if source.is_zero():
+    partial = [{}]
+    for name in bundle.new_names:
+        deg = bundle.total.gens.degree_of(name)
+        closed = [slices.poly(deg, v) for v in slices.kernel(deg)]
+        grown = []
+        for images in partial:
             particular = omega.zero()
-        else:
-            particular = slices.primitive(deg, source)
+            if deg > 1:
+                source = twist_form * images["f%d" % (deg - 2)]
+                if not source.is_zero():
+                    particular = slices.primitive(deg + 1, source)
             if particular is None:
                 raise ValueError(
                     "lattice datum admits no flat extension at level %d"
                     % deg)
-        closed = [slices.poly(deg, v) for v in slices.kernel(deg)]
-        for combo in itertools.product(lattice, repeat=len(closed)):
-            p = particular
-            for lam, z in zip(combo, closed):
-                if lam:
-                    p = p + lam * z
-            images[name] = p
-            for out in extend(images, idx + 1):
-                yield out
-
+            for combo in itertools.product(lattice, repeat=len(closed)):
+                p = particular
+                for lam, z in zip(combo, closed):
+                    if lam:
+                        p = p + lam * z
+                grown.append({**images, name: p})
+        partial = grown
     classes = {}
-    for images in extend({}, 0):
-        assignment = dict(images)
-        assignment["h3"] = twist_form
-        datum = TwistedFlatFormDatum(bundle, twist, assignment)
+    for images in partial:
+        datum = TwistedFlatFormDatum(bundle, twist,
+                                     {**images, "h3": twist_form})
         if not verify_twisted_flat(datum).passed:
             raise RuntimeError("enumerated datum failed verification")
         total = _form(datum, bundle.new_names)
         classes.setdefault(residues.class_key(1, total), []).append(datum)
     concordances, refusals = _certify_classes(
         classes, bundle.new_names, lambda y: twisted_d(C, y),
-        lambda x: residues.primitive(1, x),
-        lambda d0, d1, w: twisted_linear_concordance(d0, d1, w, C),
-        "twisted", "a twisted-exact")
+        lambda x: residues.primitive(1, x))
     rep_forms = [_form(members[0], bundle.new_names)
                  for members in classes.values()]
-    return TwistedQuotientResult(classes, rep_forms, C, lattice,
-                                 concordances, refusals, concordances)
+    return QuotientResult(classes, rep_forms, concordances, refusals,
+                          complex_=C)
 
 
 def decide_concordance(f0, f1, polybound=None):
@@ -652,10 +597,7 @@ def decide_concordance(f0, f1, polybound=None):
             f1, TwistedFlatFormDatum):
         raise ValueError("cannot compare twisted and untwisted data")
     if isinstance(f0, TwistedFlatFormDatum):
-        try:
-            ccd = twisted_linear_concordance(f0, f1)
-        except NotConcordant:
-            return None
+        build = twisted_linear_concordance
     else:
         try:
             _line_generator(f0)
@@ -664,10 +606,11 @@ def decide_concordance(f0, f1, polybound=None):
                 "concordance decision is available only for line "
                 "coefficients and the h3-twisted periodic family; general "
                 "data support verification only")
-        try:
-            ccd = linear_concordance(f0, f1, polybound=polybound)
-        except NotConcordant:
-            return None
+        build = functools.partial(linear_concordance, polybound=polybound)
+    try:
+        ccd = build(f0, f1)
+    except NotConcordant:
+        return None
     if not verify_concordance(ccd).passed:
         raise RuntimeError("constructed concordance failed verification")
     return ccd

@@ -148,19 +148,25 @@ def determinant(phi):
 
 # -- characteristic forms --------------------------------------------------
 
-def chern_forms(phi, kmax):
-    """Chern forms [c_1 .. c_kmax]: degree-2k parts of det(1 + phi).
-
-    c_0 = 1 is implicit and not returned.  Indices beyond the matrix size
-    come back as zero polynomials rather than raising.
-    """
+def _det_one_plus_parts(phi, step, kmax):
+    """The degree-step*k parts of det(1 + phi) for k = 1 .. kmax."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     one = phi.gens.one()
     shifted = [[phi.entries[i][j] + (one if i == j else 0)
                 for j in range(phi.size)] for i in range(phi.size)]
     parts = _det(shifted, phi.gens).homogeneous_parts()
-    return [parts.get(2 * k, phi.gens.zero()) for k in range(1, kmax + 1)]
+    return [parts.get(step * k, phi.gens.zero())
+            for k in range(1, kmax + 1)]
+
+
+def chern_forms(phi, kmax):
+    """Chern forms [c_1 .. c_kmax]: degree-2k parts of det(1 + phi).
+
+    c_0 = 1 is implicit and not returned.  Indices beyond the matrix size
+    come back as zero polynomials rather than raising.
+    """
+    return _det_one_plus_parts(phi, 2, kmax)
 
 
 def chern_character(phi, cutoff):
@@ -199,13 +205,7 @@ def pontrjagin_forms(phi, kmax):
     """
     if not phi.antisymmetric:
         raise ValueError("Pontrjagin forms need an antisymmetric matrix")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    one = phi.gens.one()
-    shifted = [[phi.entries[i][j] + (one if i == j else 0)
-                for j in range(phi.size)] for i in range(phi.size)]
-    parts = _det(shifted, phi.gens).homogeneous_parts()
-    return [parts.get(4 * k, phi.gens.zero()) for k in range(1, kmax + 1)]
+    return _det_one_plus_parts(phi, 4, kmax)
 
 
 def pfaffian(phi):

@@ -24,6 +24,7 @@ from ratho.character import (
     verify_twisted_flat,
 )
 from ratho.cli import corpus
+from ratho.core_algebra import AlgebraMorphism
 from ratho.dgca import DGCA, check_d_squared
 from ratho.linfty import brackets_from_ce, ce_from_brackets
 from ratho.minimal_model import RelativeExtension, cofiber
@@ -133,6 +134,31 @@ def test_flat_datum_rejects_foreign_morphism():
     with pytest.raises(ValueError):
         FlatFormDatum(line_datum(other, 0, other.gen("x")).coefficients,
                       omega, F.morphism)
+
+
+def _foreign_morphism_datum(kind):
+    """Build a datum of the given kind around a morphism out of q:1."""
+    omega = _torus3()
+    foreign = DGCA([("q", 1)])
+    f0 = line_datum(omega, 0, omega.gen("x"))
+    if kind == "flat":
+        return FlatFormDatum(f0.coefficients, omega, AlgebraMorphism(
+            foreign, omega, {"q": omega.gen("x")}))
+    if kind == "twisted":
+        bundle = twisted_ku_bundle(1)
+        twist = FlatFormDatum(bundle.base, omega, {"h3": omega.zero()})
+        return TwistedFlatFormDatum(bundle, twist, AlgebraMorphism(
+            foreign, omega, {"q": omega.gen("x")}))
+    cyl = constant_concordance(f0).cylinder
+    return ConcordanceDatum(cyl, f0, f0, AlgebraMorphism(
+        foreign, cyl.algebra, {"q": cyl.inclusion(omega.gen("x"))}))
+
+
+@pytest.mark.parametrize("kind", ["flat", "twisted", "concordance"])
+def test_datum_constructors_reject_foreign_morphism(kind):
+    with pytest.raises(ValueError,
+                       match="morphism endpoints do not match the datum"):
+        _foreign_morphism_datum(kind)
 
 
 def test_maurer_cartan_agrees_with_bracket_reconstruction():
@@ -275,7 +301,6 @@ def test_line_quotient_interval_contractible():
     assert res.class_count == 1
     assert sum(len(m) for m in res.classes.values()) == 27
     assert res.concordances == 26
-    assert res.witness_checks == 26
     assert res.h_dim == 0
     # degree-2 slice is empty: the single zero datum is its own class
     res1 = line_quotient(omega, 1, (-1, 0, 1), polybound=2)
@@ -311,6 +336,32 @@ def test_twisted_linear_concordance_torus():
         twisted_linear_concordance(t0d, bad)
 
 
+def test_twisted_linear_concordance_given_witness():
+    omega = _torus3()
+    H = omega.gen("x") * omega.gen("y") * omega.gen("z")
+    t0d = _torus_ku(omega, H, omega.gen("x"), omega.zero())
+    t1d = _torus_ku(omega, H, omega.gen("x"), H)
+    h = twisted_is_exact(TwistedComplex(omega, H), H)
+    ccd = twisted_linear_concordance(t0d, t1d, witness=h)
+    assert verify_concordance(ccd).passed
+    with pytest.raises(ValueError, match="dh does not equal") as err:
+        twisted_linear_concordance(t0d, t1d, witness=omega.zero())
+    assert not isinstance(err.value, NotConcordant)
+
+
+def test_twisted_linear_concordance_refuses_different_bundles():
+    omega = _torus3()
+    H = omega.gen("x") * omega.gen("y") * omega.gen("z")
+    t0d = _torus_ku(omega, H, omega.gen("x"), omega.zero())
+    bundle = twisted_ku_bundle(1)
+    twist = FlatFormDatum(bundle.base, omega, {"h3": H})
+    t1d = TwistedFlatFormDatum(bundle, twist, {
+        "h3": H, "f1": omega.gen("x"), "f3": omega.zero()})
+    with pytest.raises(ValueError, match="different bundles") as err:
+        twisted_linear_concordance(t0d, t1d)
+    assert not isinstance(err.value, NotConcordant)
+
+
 def _torus_ku(omega, H, f1, f3):
     bundle = twisted_ku_bundle(4)
     twist = FlatFormDatum(bundle.base, omega, {"h3": H})
@@ -327,7 +378,6 @@ def test_twisted_ku_quotient_bridges_twisted_cohomology():
     assert res.class_count == 8
     assert all(len(m) == 2 for m in res.classes.values())
     assert res.concordances == 8
-    assert res.witness_checks == 8
     assert res.refusals == 28
     # lattice spans of the odd twisted classes hit each class exactly once
     C = res.complex
@@ -343,6 +393,23 @@ def test_twisted_ku_quotient_bridges_twisted_cohomology():
         assert len(matches) == 1
         seen.add(matches[0])
     assert len(seen) == 8
+
+
+def test_twisted_ku_quotient_solves_each_level_one_degree_up():
+    # d F3 = h3 F1 has degree 4: the particular solution is a primitive
+    # of a degree-4 form, here F3 = f3 for F1 = f1
+    A = corpus.algebra("ku1_h3")
+    res = twisted_ku_quotient(A, A.gen("h3"), (0, 1), kmax=1)
+    images = [{n: str(T.image(n)) for n in ("f1", "f3")}
+              for m in res.classes.values() for T in m]
+    assert images == [{"f1": "0", "f3": "0"}, {"f1": "0", "f3": "h3"},
+                      {"f1": "f1", "f3": "f3"}, {"f1": "f1", "f3": "f3 + h3"}]
+    assert (res.class_count, res.concordances, res.refusals) == (2, 2, 1)
+    # on T^4, h3 x3 is the volume form: F1 = x3 has no extension
+    T4 = DGCA([("x%d" % i, 1) for i in range(4)])
+    H = T4.monomial({"x0": 1, "x1": 1, "x2": 1})
+    with pytest.raises(ValueError, match="no flat extension at level 3"):
+        twisted_ku_quotient(T4, H, (0, 1), kmax=1)
 
 
 def test_decide_concordance_dispatch():
