@@ -3,9 +3,11 @@
 A flat datum is a chain algebra map out of a Chevalley-Eilenberg algebra:
 the generator images are the component forms, and the chain-map equations
 on generators are exactly the Bianchi / Maurer-Cartan constraints.  Twisted
-data live over a relative extension, with the restriction to the base
-pinned to a given twist datum.  Concordances are data on the cylinder of
-the target restricting to the two given data at the endpoints.
+and cylinder data are flat data too: a twisted datum is one on the total
+algebra of a relative extension, with the restriction to the base pinned
+to a given twist datum; a concordance is one on the cylinder of the
+target, restricting to the two given data at the endpoints and taking
+their coefficients and twist.
 
 Reports never decide more than they can certify: general concordance is
 verification-only, while two families are decided exactly and in both
@@ -22,9 +24,10 @@ Each family supplies its own pair (d, primitive): apply_d and is_exact
 for line data, twisted_d and twisted_is_exact for twisted data.  A
 witness found gives the concordance; none found refutes it.
 
-Residuals in every report follow one convention: image of the source
-differential minus differential of the image, so a residual states how far
-the form-side derivative falls short of what the coefficients demand.
+Residuals in every report follow one convention, is_chain_map's: image of
+the source differential minus differential of the image, so a residual
+states how far the form-side derivative falls short of what the
+coefficients demand.
 """
 
 import functools
@@ -37,7 +40,7 @@ from .core_algebra import (
     gens_of,
     morphism_by_names,
 )
-from .dgca import DGCA, _slices, apply_d, is_exact
+from .dgca import DGCA, _residuals, _slices, apply_d, is_chain_map, is_exact
 from .minimal_model import RelativeExtension, _relative_sullivan
 from .simplicial_forms import CylinderAlgebra, fiber_integrate
 from .twisted_derham import (TwistedComplex, _residues, twisted_d,
@@ -52,14 +55,16 @@ class NotConcordant(ValueError):
 def _morphism(coefficients, target, assignment):
     """assignment as a morphism coefficients -> target.
 
-    A prebuilt AlgebraMorphism is taken as it is once its endpoints match.
+    A prebuilt AlgebraMorphism must have matching endpoints, and is rebuilt
+    over coefficients and target, so the datum's own differentials are the
+    ones its checks read.
     """
-    if not isinstance(assignment, AlgebraMorphism):
-        return AlgebraMorphism(coefficients, target, assignment)
-    if gens_of(assignment.source) != coefficients.gens \
-            or gens_of(assignment.target) != target.gens:
-        raise ValueError("morphism endpoints do not match the datum")
-    return assignment
+    if isinstance(assignment, AlgebraMorphism):
+        if gens_of(assignment.source) != coefficients.gens \
+                or gens_of(assignment.target) != target.gens:
+            raise ValueError("morphism endpoints do not match the datum")
+        assignment = assignment.assignment
+    return AlgebraMorphism(coefficients, target, assignment)
 
 
 class FlatFormDatum:
@@ -81,8 +86,8 @@ class FlatFormDatum:
         return self.morphism.assignment[name]
 
     def __repr__(self):
-        return "FlatFormDatum(%r -> target)" % list(
-            self.coefficients.gens.names)
+        return "%s(%r -> target)" % (type(self).__name__,
+                                     list(self.coefficients.gens.names))
 
 
 class FlatReport:
@@ -101,29 +106,16 @@ class FlatReport:
         return "FlatReport(failed on %s)" % [n for n, _ in self.failures]
 
 
-def _bianchi_failures(coefficients, target, morphism):
-    failures = []
-    for name in coefficients.gens.names:
-        r = apply_morphism(morphism, coefficients.d[name]) \
-            - apply_d(target, morphism.assignment[name])
-        if not r.is_zero():
-            failures.append((name, r))
-    return failures
-
-
 def verify_flat(F):
-    """Check each generator's Bianchi identity d(F g) = F(d g).
+    """Check each generator's Bianchi identity F(d g) = d(F g).
 
-    The residual reported for a failing generator is F(d g) - d(F g).
+    This is is_chain_map on F.morphism, for twisted and cylinder data
+    too; the residual reported for a failing generator is F(d g) - d(F g).
     """
-    return FlatReport(_bianchi_failures(F.coefficients, F.target, F.morphism))
+    return FlatReport(is_chain_map(F.morphism)[1])
 
 
-def _same_presentation(a, b):
-    return a is b or (a.gens == b.gens and a.d == b.d)
-
-
-class TwistedFlatFormDatum:
+class TwistedFlatFormDatum(FlatFormDatum):
     """Flat datum over a relative extension, twisted by a base datum.
 
     bundle is the coefficient extension, twist a FlatFormDatum on its
@@ -134,16 +126,11 @@ class TwistedFlatFormDatum:
     """
 
     def __init__(self, bundle, twist, assignment):
-        if not _same_presentation(twist.coefficients, bundle.base):
+        if twist.coefficients != bundle.base:
             raise ValueError("twist is not a datum on the bundle base")
         self.bundle = bundle
         self.twist = twist
-        self.coefficients = bundle.total
-        self.target = twist.target
-        self.morphism = _morphism(bundle.total, self.target, assignment)
-
-    def image(self, name):
-        return self.morphism.assignment[name]
+        super().__init__(bundle.total, twist.target, assignment)
 
     def __repr__(self):
         return "TwistedFlatFormDatum(base=%r, new=%r)" % (
@@ -180,14 +167,10 @@ def verify_twisted_flat(T):
     the bundle is deliberately not required: twists of interest (the
     twistorial one included) live on non-minimal extensions.
     """
-    cert = _relative_sullivan(T.bundle)
-    chain = _bianchi_failures(T.coefficients, T.target, T.morphism)
-    triangle = []
-    for b in T.bundle.base.gens.names:
-        r = T.twist.morphism.assignment[b] - T.morphism.assignment[b]
-        if not r.is_zero():
-            triangle.append((b, r))
-    return TwistedFlatReport(cert, chain, triangle)
+    triangle = _residuals((b, T.twist.image(b) - T.image(b))
+                          for b in T.bundle.base.gens.names)
+    return TwistedFlatReport(_relative_sullivan(T.bundle),
+                             verify_flat(T).failures, triangle)
 
 
 def _verify_datum(F):
@@ -196,16 +179,17 @@ def _verify_datum(F):
     return verify_flat(F)
 
 
-class ConcordanceDatum:
-    """Datum on the cylinder of the target, with named endpoints.
+class ConcordanceDatum(FlatFormDatum):
+    """Flat datum on the cylinder of the endpoints' target.
 
-    For twisted endpoints the bundle and twist ride along, adding the
-    twist-constancy requirement: base generators map to the constant
-    inclusion of the twist, not to anything t-dependent.
+    The coefficients, bundle and twist are the endpoints' own, read from
+    f0.  For twisted endpoints the twist adds the twist-constancy
+    requirement: base generators map to the constant inclusion of the
+    twist, not to anything t-dependent.
     """
 
-    def __init__(self, cylinder, f0, f1, assignment, bundle=None, twist=None):
-        if not _same_presentation(f0.coefficients, f1.coefficients):
+    def __init__(self, cylinder, f0, f1, assignment):
+        if f0.coefficients != f1.coefficients:
             raise ValueError("endpoints have different coefficients")
         if f0.target.gens != cylinder.base.gens \
                 or f1.target.gens != cylinder.base.gens:
@@ -213,14 +197,9 @@ class ConcordanceDatum:
         self.cylinder = cylinder
         self.f0 = f0
         self.f1 = f1
-        self.coefficients = f0.coefficients
-        self.morphism = _morphism(self.coefficients, cylinder.algebra,
-                                  assignment)
-        self.bundle = bundle
-        self.twist = twist
-
-    def image(self, name):
-        return self.morphism.assignment[name]
+        self.bundle = f0.bundle
+        self.twist = f0.twist
+        super().__init__(f0.coefficients, cylinder.algebra, assignment)
 
 
 class ConcordanceReport:
@@ -256,23 +235,16 @@ def verify_concordance(ccd):
     are constant in the cylinder direction.
     """
     cyl = ccd.cylinder
-    endpoint_reports = (_verify_datum(ccd.f0), _verify_datum(ccd.f1))
-    chain = _bianchi_failures(ccd.coefficients, cyl.algebra, ccd.morphism)
+    names = ccd.coefficients.gens.names
     endpoint = []
     for which, ev, end in (("ev0", cyl.ev0, ccd.f0), ("ev1", cyl.ev1, ccd.f1)):
-        for name in ccd.coefficients.gens.names:
-            r = end.morphism.assignment[name] \
-                - apply_morphism(ev, ccd.morphism.assignment[name])
-            if not r.is_zero():
-                endpoint.append((which, name, r))
-    twist = []
-    if ccd.twist is not None:
-        for b in ccd.bundle.base.gens.names:
-            r = cyl.inclusion(ccd.twist.morphism.assignment[b]) \
-                - ccd.morphism.assignment[b]
-            if not r.is_zero():
-                twist.append((b, r))
-    return ConcordanceReport(endpoint_reports, chain, endpoint, twist)
+        endpoint += [(which, name, r) for name, r in _residuals(
+            (name, end.image(name) - ev(ccd.image(name))) for name in names)]
+    twist = [] if ccd.twist is None else _residuals(
+        (b, cyl.inclusion(ccd.twist.image(b)) - ccd.image(b))
+        for b in ccd.bundle.base.gens.names)
+    return ConcordanceReport((_verify_datum(ccd.f0), _verify_datum(ccd.f1)),
+                             verify_flat(ccd).failures, endpoint, twist)
 
 
 def constant_concordance(F):
@@ -280,7 +252,7 @@ def constant_concordance(F):
     cyl = CylinderAlgebra(F.target)
     assignment = {name: cyl.inclusion(F.morphism.assignment[name])
                   for name in F.coefficients.gens.names}
-    return ConcordanceDatum(cyl, F, F, assignment, F.bundle, F.twist)
+    return ConcordanceDatum(cyl, F, F, assignment)
 
 
 def reverse_concordance(ccd):
@@ -293,8 +265,7 @@ def reverse_concordance(ccd):
                                         cyl.dt_name: -dt})
     assignment = {name: apply_morphism(flip, ccd.morphism.assignment[name])
                   for name in ccd.coefficients.gens.names}
-    return ConcordanceDatum(cyl, ccd.f1, ccd.f0, assignment,
-                            ccd.bundle, ccd.twist)
+    return ConcordanceDatum(cyl, ccd.f1, ccd.f0, assignment)
 
 
 def _form(datum, names):
@@ -305,16 +276,15 @@ def _form(datum, names):
     return out
 
 
-def _straight_concordance(f0, f1, names, d, primitive, witness=None,
-                          bundle=None, twist=None):
+def _straight_concordance(f0, f1, names, d, primitive, witness=None):
     """The straight cylinder from f0 to f1, with dt times a witness.
 
     F0 and F1 sum the endpoints' images of names, and the witness h has
     d(h) = F1 - F0: a given one is checked, an omitted one is
     primitive(F1 - F0), and where that is None no concordance exists.
     Each named generator g takes the degree |g|-1 part of h after dt; each
-    base generator of bundle maps to the constant inclusion of its image
-    under twist.
+    base generator of f0's bundle maps to the constant inclusion of its
+    image under f0's twist.
     """
     diff = _form(f1, names) - _form(f0, names)
     if witness is None:
@@ -329,16 +299,16 @@ def _straight_concordance(f0, f1, names, d, primitive, witness=None,
     t = cyl.algebra.gen(cyl.t_name)
     dt = cyl.algebra.gen(cyl.dt_name)
     assignment = {}
-    if bundle is not None:
-        for b in bundle.base.gens.names:
-            assignment[b] = cyl.inclusion(twist.image(b))
+    if f0.bundle is not None:
+        for b in f0.bundle.base.gens.names:
+            assignment[b] = cyl.inclusion(f0.twist.image(b))
     gens = f0.coefficients.gens
     for name in names:
         h = parts.get(gens.degree_of(name) - 1, f0.target.zero())
         assignment[name] = ((1 - t) * cyl.inclusion(f0.image(name))
                             + t * cyl.inclusion(f1.image(name))
                             + dt * cyl.inclusion(h))
-    return ConcordanceDatum(cyl, f0, f1, assignment, bundle, twist)
+    return ConcordanceDatum(cyl, f0, f1, assignment)
 
 
 def _certify_classes(classes, names, d, primitive):
@@ -359,8 +329,7 @@ def _certify_classes(classes, names, d, primitive):
         if not verify_concordance(constant_concordance(d0)).passed:
             raise RuntimeError("constant concordance failed verification")
         for d1 in members[1:]:
-            ccd = _straight_concordance(d0, d1, names, d, primitive,
-                                        bundle=d0.bundle, twist=d0.twist)
+            ccd = _straight_concordance(d0, d1, names, d, primitive)
             if not verify_concordance(ccd).passed:
                 raise RuntimeError("straight concordance failed verification")
             h = d0.target.zero()
@@ -503,7 +472,7 @@ def twisted_ku_bundle(kmax):
     return RelativeExtension(DGCA([("h3", 3)]), total)
 
 
-def twisted_linear_concordance(t0d, t1d, witness=None, complex_=None):
+def twisted_linear_concordance(t0d, t1d, witness=None):
     """Straight cylinder between two data of the h3-twisted periodic family.
 
     Both data must share the bundle and the twist.  The even witness h has
@@ -513,19 +482,16 @@ def twisted_linear_concordance(t0d, t1d, witness=None, complex_=None):
     construction is refused, because concordant data have equal twisted
     classes.
     """
-    if t0d.bundle is not t1d.bundle and not (
-            _same_presentation(t0d.bundle.base, t1d.bundle.base)
-            and _same_presentation(t0d.bundle.total, t1d.bundle.total)):
+    if (t0d.bundle.base, t0d.bundle.total) \
+            != (t1d.bundle.base, t1d.bundle.total):
         raise ValueError("endpoints live over different bundles")
     if t0d.twist.morphism != t1d.twist.morphism:
         raise ValueError("endpoints have different twists")
-    if complex_ is None:
-        (b,) = t0d.bundle.base.gens.names
-        complex_ = TwistedComplex(t0d.target, t0d.twist.image(b))
+    (b,) = t0d.bundle.base.gens.names
+    C = TwistedComplex(t0d.target, t0d.twist.image(b))
     return _straight_concordance(
-        t0d, t1d, t0d.bundle.new_names, lambda y: twisted_d(complex_, y),
-        lambda x: twisted_is_exact(complex_, x), witness, t0d.bundle,
-        t0d.twist)
+        t0d, t1d, t0d.bundle.new_names, lambda y: twisted_d(C, y),
+        lambda x: twisted_is_exact(C, x), witness)
 
 
 def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):

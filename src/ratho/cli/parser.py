@@ -77,9 +77,9 @@ def _lex(text):
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(_Token("int", int(text[start:i]), line, col))
             col += i - start

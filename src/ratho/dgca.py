@@ -148,14 +148,15 @@ class DSquaredReport:
         return "; ".join("d^2(%s) = %s" % (n, r) for n, r in self.failures)
 
 
+def _residuals(pairs):
+    """The (name, residual) pairs whose residual is nonzero, in order."""
+    return [(name, r) for name, r in pairs if not r.is_zero()]
+
+
 def check_d_squared(A):
     """d*d on every generator; zero there suffices by the Leibniz rule."""
-    failures = []
-    for name in A.gens.names:
-        r = apply_d(A, A.d[name])
-        if not r.is_zero():
-            failures.append((name, r))
-    return DSquaredReport(failures)
+    return DSquaredReport(_residuals((name, apply_d(A, A.d[name]))
+                                     for name in A.gens.names))
 
 
 # -- slice linear algebra -------------------------------------------------
@@ -238,19 +239,26 @@ def is_exact(A, p, polybound=None):
 
 
 def is_chain_map(phi):
-    """Check d_target(phi(g)) == phi(d_source(g)) on every generator.
+    """Check phi(d_source(g)) == d_target(phi(g)) on every generator.
 
-    Returns (ok, failures) with failures a list of (generator, residual).
+    Returns (ok, failures) with failures a list of (generator, residual),
+    the residual being phi(dg) - d(phi g).  This is the one chain-map
+    check: flat data (ratho.character) are verified through it.
     """
     src, tgt = phi.source, phi.target
-    failures = []
-    for name in gens_of(src).names:
-        lhs = apply_d(tgt, phi.assignment[name])
-        rhs = apply_morphism(phi, src.d[name])
-        r = lhs - rhs
-        if not r.is_zero():
-            failures.append((name, r))
+    failures = _residuals(
+        (name, apply_morphism(phi, src.d[name])
+         - apply_d(tgt, phi.assignment[name]))
+        for name in gens_of(src).names)
     return (not failures, failures)
+
+
+def _require_chain_map(phi, message):
+    """Raise ChainMapError(message % g) at the first generator g that fails."""
+    ok, failures = is_chain_map(phi)
+    if not ok:
+        name = failures[0][0]
+        raise ChainMapError(message % (name,), name)
 
 
 def is_quasi_iso(phi, degrees, polybound=None):
@@ -262,10 +270,7 @@ def is_quasi_iso(phi, degrees, polybound=None):
     representatives against the target's boundary space (the echelon
     form plays the role of repeated exactness tests).
     """
-    ok_chain, failures = is_chain_map(phi)
-    if not ok_chain:
-        name = failures[0][0]
-        raise ChainMapError("not a chain map at generator %r" % name, name)
+    _require_chain_map(phi, "not a chain map at generator %r")
     lo, hi = degrees
     source = _slices(phi.source, polybound)
     target = _slices(phi.target, polybound)

@@ -23,7 +23,8 @@ from .core_algebra import (
     compose_morphisms,
     morphism_by_names,
 )
-from .dgca import DGCA, ChainMapError, _slices, is_chain_map, is_quasi_iso
+from .dgca import (DGCA, ChainMapError, _require_chain_map, _slices,
+                   is_quasi_iso)
 from .linfty import _dependencies, _order
 
 
@@ -46,10 +47,8 @@ class MinimalModelResult:
 
 def _embed(p, gens):
     # re-express a polynomial over a prefix generator set in the grown one
-    pad = len(gens) - (len(next(iter(p.terms))) if p.terms else len(gens))
-    if not p.terms:
-        return Polynomial(gens, {})
-    return Polynomial(gens, {m + (0,) * pad: c for m, c in p.terms.items()})
+    pad = (0,) * (len(gens) - len(p.gens))
+    return Polynomial(gens, {m + pad: c for m, c in p.terms.items()})
 
 
 def minimal_model(A, N, polybound=None, budget=64, reverse=False):
@@ -72,6 +71,17 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
     d_data = {}
     phi_data = {}
 
+    def adjoin(n, image, d=None):
+        # the one place a generator is added: named by its index within
+        # degree n, counted against budget; a closed one stores no d
+        name = "v%d_%d" % (n, sum(1 for _, deg in pairs if deg == n))
+        pairs.append((name, n))
+        if len(pairs) > budget:
+            raise BudgetExceeded("generator budget %d exceeded" % budget)
+        if d is not None:
+            d_data[name] = d
+        phi_data[name] = image
+
     def build():
         gens = GeneratorSet(pairs)
         M = DGCA(gens, {n: _embed(p, gens) for n, p in d_data.items()})
@@ -83,20 +93,12 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
         ech = slices.echelon(n)
         for p in _slices(M, None).homology(n).representatives:
             ech.add(slices.vector(n, apply_morphism(phi, p)))
-        counter = 0
         cands = slices.homology(n).representatives
         if reverse:
             cands.reverse()
         for p in cands:
-            if not ech.add(slices.vector(n, p)):
-                continue
-            name = "v%d_%d" % (n, counter)
-            counter += 1
-            pairs.append((name, n))
-            if len(pairs) > budget:
-                raise BudgetExceeded("generator budget %d exceeded" % budget)
-            d_data[name] = Polynomial(GeneratorSet(pairs), {})
-            phi_data[name] = p
+            if ech.add(slices.vector(n, p)):
+                adjoin(n, p)
         M, phi = build()
 
         # differentials spanning ker(H^{n+1}(M) -> H^{n+1}(A))
@@ -119,13 +121,7 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
             if q is None:
                 raise RuntimeError(
                     "no primitive witness within the polynomial-degree budget")
-            name = "v%d_%d" % (n, counter)
-            counter += 1
-            pairs.append((name, n))
-            if len(pairs) > budget:
-                raise BudgetExceeded("generator budget %d exceeded" % budget)
-            d_data[name] = z
-            phi_data[name] = q
+            adjoin(n, q, z)
         M, phi = build()
 
     counts = {}
@@ -151,11 +147,9 @@ class RelativeExtension:
             if total.gens.degree_of(name) != deg:
                 raise ValueError("degree mismatch on base generator %r" % name)
         self.inclusion = morphism_by_names(base, total)
-        ok, failures = is_chain_map(self.inclusion)
-        if not ok:
-            raise ChainMapError(
-                "total differential does not restrict to the base on %r"
-                % failures[0][0], failures[0][0])
+        _require_chain_map(
+            self.inclusion,
+            "total differential does not restrict to the base on %r")
         self.new_names = tuple(n for n in total.gens.names
                                if n not in base.gens.index)
 
@@ -219,10 +213,7 @@ def verify_relative(ext, target, N, base_map=None, polybound=None):
     failures (target not a chain map, triangle over the base not commuting)
     raise; leg failures are reported with witnesses.
     """
-    ok, failures = is_chain_map(target)
-    if not ok:
-        raise ChainMapError("target is not a chain map on %r" % failures[0][0],
-                            failures[0][0])
+    _require_chain_map(target, "target is not a chain map on %r")
     if base_map is not None:
         if compose_morphisms(target, ext.inclusion) != base_map:
             raise ChainMapError("triangle over the base does not commute")

@@ -56,16 +56,16 @@ class TwistedComplex:
             return list(range(self.top + 1))
         return list(range(2 * self.period))
 
+    def fold(self, n):
+        """The residue of degree n: n mod 2r, or n itself when r = 0."""
+        return n % (2 * self.period) if self.period else n
+
     def residue_basis(self, k):
-        """Monomials of total degree <= top congruent to k (equal, for r=0)."""
+        """Monomials of total degree <= top whose degree folds to k's."""
         out = []
-        if self.period == 0:
-            degs = [k] if 0 <= k <= self.top else []
-        else:
-            degs = [n for n in range(self.top + 1)
-                    if n % (2 * self.period) == k % (2 * self.period)]
-        for n in degs:
-            out.extend(basis_of_degree(self.base.gens, n))
+        for n in range(self.top + 1):
+            if self.fold(n) == self.fold(k):
+                out.extend(basis_of_degree(self.base.gens, n))
         return out
 
     def __repr__(self):
@@ -85,21 +85,17 @@ class TwistedClass:
     def __init__(self, complex_, rep, residue=None):
         self.complex = complex_
         self.rep = rep
-        r = complex_.period
-        degs = {complex_.base.gens.monomial_degree(m) for m in rep.terms}
-        if r == 0:
-            folded = degs
-        else:
-            folded = {d % (2 * r) for d in degs}
+        folded = {complex_.fold(complex_.base.gens.monomial_degree(m))
+                  for m in rep.terms}
         if len(folded) > 1:
             raise ValueError("representative mixes residues")
         if residue is None:
             if not folded:
                 raise ValueError("zero representative needs an explicit residue")
             residue = folded.pop()
-        elif folded and folded != {residue % (2 * r) if r else residue}:
+        elif folded and folded != {complex_.fold(residue)}:
             raise ValueError("representative does not lie in residue %d" % residue)
-        self.residue = residue % (2 * r) if r else residue
+        self.residue = complex_.fold(residue)
         if not twisted_d(complex_, rep).is_zero():
             raise ValueError("representative is not twisted-closed")
 
@@ -134,11 +130,8 @@ def _residues(C):
     Every monomial of a residue is in its window, so cocycles are taken
     against the full, untruncated images and only boundaries are cut.
     """
-    def shift(k, s):
-        return (k + s) % (2 * C.period) if C.period else k + s
-
     gens = C.base.gens
-    return Complex(gens, C.residue_basis, shift,
+    return Complex(gens, C.residue_basis, lambda k, s: C.fold(k + s),
                    lambda m: twisted_d(C, gens.from_exponents(m)),
                    overflow=True)
 
@@ -174,15 +167,14 @@ def twisted_is_exact(C, x, residue=None):
 
 
 def op_wedge_twist(C, cls):
-    """Right wedge with the twist: rep -> rep * H, same complex, residue + 1."""
+    """Right wedge with the twist: rep -> rep * H, same complex, residue + 1.
+
+    H has degree 2r + 1, which folds to 1 for every r.
+    """
     if cls.complex is not C:
         raise ValueError("class does not live on this complex")
-    r = C.period
-    if r == 0:
-        residue = cls.residue + (C.twist.degree() if not C.twist.is_zero() else 1)
-    else:
-        residue = (cls.residue + 1) % (2 * r)
-    return TwistedClass(C, cls.rep * C.twist, residue=residue)
+    return TwistedClass(C, cls.rep * C.twist,
+                        residue=C.fold(cls.residue + 2 * C.period + 1))
 
 
 def op_wedge_square(C, cls):
@@ -193,8 +185,8 @@ def op_wedge_square(C, cls):
         raise ValueError("wedge square needs an even residue")
     doubled = TwistedComplex(C.base, 2 * C.twist, period=C.period,
                              truncation=C.truncation)
-    residue = (2 * cls.residue) % (2 * C.period) if C.period else 2 * cls.residue
-    return TwistedClass(doubled, cls.rep * cls.rep, residue=residue)
+    return TwistedClass(doubled, cls.rep * cls.rep,
+                        residue=C.fold(2 * cls.residue))
 
 
 def op_square_then_twist(C, cls):

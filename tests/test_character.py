@@ -136,6 +136,18 @@ def test_flat_datum_rejects_foreign_morphism():
                       omega, F.morphism)
 
 
+def test_prebuilt_morphism_is_checked_against_the_datum_coefficients():
+    # phi's source has the generators of s4 but d = 0, so phi is a chain
+    # map out of it; the datum still checks s4's d(w7) = -w4^2
+    coeffs = _s4_coeffs()
+    omega = _s4_forms(+1)
+    flat_source = DGCA(coeffs.gens)
+    phi = AlgebraMorphism(flat_source, omega, {"w4": omega.gen("G4"),
+                                               "w7": omega.gen("G7")})
+    F = FlatFormDatum(coeffs, omega, phi)
+    assert verify_flat(F).failures == [("w7", -2 * omega.monomial({"G4": 2}))]
+
+
 def _foreign_morphism_datum(kind):
     """Build a datum of the given kind around a morphism out of q:1."""
     omega = _torus3()
@@ -316,6 +328,29 @@ def test_line_quotient_torus_matches_h1():
     assert all(len(m) == 1 for m in res.classes.values())
     assert res.concordances == 0
     assert res.refusals == 51
+
+
+def test_twisted_concordance_checks_twist_constancy():
+    # the endpoints are equal and flat, and ev0 and ev1 both give the twist,
+    # but h3 moves with t on the cylinder: the twist leg must name it
+    t3 = corpus.algebra("t3")
+    H = t3.monomial({"x": 1, "y": 1, "z": 1})
+    bundle = twisted_ku_bundle(1)
+    twist = FlatFormDatum(bundle.base, t3, {"h3": H})
+    T = TwistedFlatFormDatum(bundle, twist,
+                             {"h3": H, "f1": t3.zero(), "f3": t3.zero()})
+    cyl = constant_concordance(T).cylinder
+    t = cyl.algebra.gen(cyl.t_name)
+    dt = cyl.algebra.gen(cyl.dt_name)
+    drift = (1 - 2 * t) * dt * cyl.inclusion(t3.monomial({"x": 1, "y": 1}))
+    zero = cyl.algebra.zero()
+    ccd = ConcordanceDatum(cyl, T, T, {"h3": cyl.inclusion(H) + drift,
+                                       "f1": zero, "f3": zero})
+    rep = verify_concordance(ccd)
+    assert rep.chain_failures == [] and rep.endpoint_failures == []
+    assert rep.twist_failures == [("h3", -drift)]
+    assert not rep.passed
+    assert ccd.bundle is bundle and ccd.twist is twist
 
 
 def test_twisted_linear_concordance_torus():

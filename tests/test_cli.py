@@ -280,6 +280,18 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_superscript_digit_is_a_located_parse_error(tmp_path, capsys):
+    # '\u00b2'.isdigit() holds but int() refuses it: it is not an integer
+    f = tmp_path / "sup.dgca"
+    f.write_text("algebra A { gen x:\u00b2; }", encoding="utf-8")
+    code, _, err = _run(["check", str(f)], capsys)
+    assert code == 2
+    assert "parse error: 1:19: unexpected character '\u00b2'" in err
+    # a Unicode decimal digit still lexes as an integer
+    mf = parse("algebra A { gen x:\u0663; }")
+    assert mf.first_algebra()[1].gens.degrees == (3,)
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = _run(["check", "no/such/file.dgca"], capsys)
     assert code == 2

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import _dense_oracle
 from ratho.cli import corpus
+from ratho.character import FlatFormDatum, verify_flat
 from ratho.core_algebra import (
     AlgebraMorphism,
+    apply_morphism,
     basis_of_degree,
     identity_morphism,
     morphism_by_names,
@@ -244,6 +246,17 @@ def test_is_chain_map_reports_witness():
     ok, failures = is_chain_map(phi)
     assert not ok
     assert failures[0][0] == "w7"
+
+
+def test_chain_map_residual_sign_is_shared_with_verify_flat():
+    # one convention: the residual is phi(dg) - d(phi g)
+    A = _s4()
+    phi = AlgebraMorphism(A, A, {"w4": A.gen("w4"), "w7": A.zero()})
+    expected = [("w7", apply_morphism(phi, A.d["w7"])
+                 - apply_d(A, phi.assignment["w7"]))]
+    assert expected[0][1] == -A.monomial({"w4": 2})
+    assert is_chain_map(phi)[1] == expected
+    assert verify_flat(FlatFormDatum(A, A, phi)).failures == expected
 
 
 def test_tensor_of_line_algebras():
