@@ -558,10 +558,16 @@ def decide_concordance(f0, f1, polybound=None):
     None when they are provably not.  Only line coefficients and the
     h3-twisted periodic family are decidable here; for any other
     coefficients concordance is verification-only and this raises.
+    Endpoints that fail their own verification raise ValueError.
     """
     if isinstance(f0, TwistedFlatFormDatum) != isinstance(
             f1, TwistedFlatFormDatum):
         raise ValueError("cannot compare twisted and untwisted data")
+    for which, f in (("f0", f0), ("f1", f1)):
+        rep = _verify_datum(f)
+        if not rep.passed:
+            raise ValueError("endpoint %s fails verification: %r"
+                             % (which, rep))
     if isinstance(f0, TwistedFlatFormDatum):
         build = twisted_linear_concordance
     else:

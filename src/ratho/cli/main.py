@@ -349,8 +349,12 @@ def _cmd_verify_flat(args, mf):
     morphs = _morphisms(mf)
     if not morphs:
         raise UsageError("the file declares no morphism")
-    decl = morphs[0]
-    rep = verify_flat(_flat_datum(mf, decl))
+    return _flat_outcome(morphs[0], _flat_datum(mf, morphs[0]))
+
+
+def _flat_outcome(decl, F):
+    """verify-flat's outcome for the datum F read from decl."""
+    rep = verify_flat(F)
     if rep.passed:
         return 0, {"datum": decl.name, "flat": True}, [], \
             ["%s: flat" % decl.name]
@@ -405,6 +409,10 @@ def _cmd_verify_concordance(args, mf):
     f0 = _flat_datum(mf, morphs[0])
     f1 = _flat_datum(mf, morphs[1])
     if len(morphs) == 2:
+        for decl, f in zip(morphs, (f0, f1)):
+            code, result, witnesses, lines = _flat_outcome(decl, f)
+            if code:
+                return code, {"concordant": False, **result}, witnesses, lines
         ccd = decide_concordance(f0, f1, polybound=args.polybound)
         if ccd is None:
             return 1, {"concordant": False}, [], ["concordant: no"]

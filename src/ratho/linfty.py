@@ -16,6 +16,11 @@ recovered table is the textbook one, [e_i, e_j] = epsilon_ijk e_k.
 
 d^2 = 0 on the algebra side is exactly the generalized Jacobi identity on the
 bracket side, so Jacobi verification is delegated to the differential.
+
+The generator dependency graph (g depends on the generators in d(g)) has
+its helpers here: _reach, _order with its cycle witness, and
+_linear_offenders, which minimal_model's relative checks run on the new
+generators of an extension where is_sullivan and is_minimal run on all.
 """
 
 from fractions import Fraction
@@ -74,9 +79,6 @@ class LInfinityStructure:
     def bracket(self, key):
         """Expansion of the bracket of the (sorted) key, zero map if absent."""
         return dict(self.brackets.get(tuple(key), {}))
-
-    def arities(self):
-        return sorted({len(k) for k in self.brackets})
 
     def __eq__(self, other):
         return (isinstance(other, LInfinityStructure)
@@ -202,62 +204,25 @@ def _dependencies(A):
     return deps
 
 
-def _strongly_connected(names, deps):
-    # Tarjan, iterative; edge g -> h when h in deps[g]
-    index = {}
-    low = {}
-    onstack = {}
-    stack = []
-    comps = []
-    counter = [0]
-    for root in names:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(deps[root], key=names.index)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    onstack[nxt] = True
-                    work.append((nxt, iter(sorted(deps[nxt], key=names.index))))
-                    advanced = True
-                    break
-                if onstack.get(nxt):
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
-    return comps
+def _reach(deps, g):
+    """The generators g depends on in one or more steps."""
+    seen = set()
+    todo = list(deps[g])
+    while todo:
+        h = todo.pop()
+        if h not in seen:
+            seen.add(h)
+            todo.extend(deps[h])
+    return seen
 
 
 def _cycle_witness(names, deps):
-    comps = [c for c in _strongly_connected(names, deps)
-             if len(c) > 1 or c[0] in deps[c[0]]]
-    comps.sort(key=lambda c: min(names.index(g) for g in c))
-    comp = set(comps[0])
-    start = min(comp, key=names.index)
+    # walk from the first name on a cycle, among the names it reaches and
+    # that reach it back (its strongly connected component)
+    start = next(g for g in names if g in _reach(deps, g))
     if start in deps[start]:
         return [start]
+    comp = {h for h in _reach(deps, start) if start in _reach(deps, h)}
     path = [start]
     seen = {start}
     while True:
@@ -296,6 +261,18 @@ def _order(names, deps):
     return SullivanCertificate(order=order)
 
 
+def _linear_offenders(A, names):
+    """Those of names whose differential has a term that is one of names alone.
+
+    Over all generators this is the word-length-1 test of is_minimal; over
+    the new generators of an extension it is strict relative minimality.
+    """
+    inside = {A.gens.index[g] for g in names}
+    return [g for g in names
+            if any(sum(m) == 1 and m.index(1) in inside
+                   for m in A.d[g].terms)]
+
+
 def is_minimal(A):
     """Decide minimality; returns (flag, offending generator names).
 
@@ -305,28 +282,15 @@ def is_minimal(A):
     strictly larger degree, and the dependencies within each fixed degree
     must be acyclic.
     """
-    deps = _dependencies(A)
-    offenders = []
-    for name in A.gens.names:
-        if any(sum(m) == 1 for m in A.d[name].terms):
-            offenders.append(name)
+    names = list(A.gens.names)
+    offenders = _linear_offenders(A, names)
     if any(d <= 1 for d in A.gens.degrees):
-        names = list(A.gens.names)
-        deg = dict(zip(A.gens.names, A.gens.degrees))
-        for name in names:
-            if name in offenders:
-                continue
-            if any(deg[h] > deg[name] for h in deps[name]):
-                offenders.append(name)
-        level_deps = {g: {h for h in deps[g] if deg[h] == deg[g]}
-                      for g in names}
-        in_cycle = set()
-        for comp in _strongly_connected(names, level_deps):
-            if len(comp) > 1 or comp[0] in level_deps[comp[0]]:
-                in_cycle.update(comp)
-        offenders.extend(g for g in names
-                         if g in in_cycle and g not in offenders)
-        offenders.sort(key=names.index)
+        deps = _dependencies(A)
+        deg = dict(zip(names, A.gens.degrees))
+        level = {g: {h for h in deps[g] if deg[h] == deg[g]} for g in names}
+        offenders = [g for g in names if g in offenders
+                     or any(deg[h] > deg[g] for h in deps[g])
+                     or g in _reach(level, g)]
     return (not offenders), offenders
 
 

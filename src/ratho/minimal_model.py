@@ -11,7 +11,9 @@ isomorphism invariant asserted.
 
 Relative Sullivan extensions are verified, never constructed.  Relative
 minimality is the strict condition: no differential of a new generator may
-contain a term that is a single new generator with no base factor.
+contain a term that is a single new generator with no base factor.  Both
+relative legs are the absolute checks of linfty's dependency-graph helpers
+(_order, _linear_offenders) run on the new generators alone.
 """
 
 from . import _linalg
@@ -25,7 +27,7 @@ from .core_algebra import (
 )
 from .dgca import (DGCA, ChainMapError, _require_chain_map, _slices,
                    is_quasi_iso)
-from .linfty import _dependencies, _order
+from .linfty import _dependencies, _linear_offenders, _order
 
 
 class BudgetExceeded(RuntimeError):
@@ -186,24 +188,6 @@ def _relative_sullivan(ext):
     return _order(new, {g: deps[g].intersection(new) for g in new})
 
 
-def _minimality_offenders(ext):
-    gens = ext.total.gens
-    base = set(ext.base.gens.names)
-    offenders = []
-    for g in ext.new_names:
-        for m in ext.total.d[g].terms:
-            newlen = baselen = 0
-            for i, e in enumerate(m):
-                if gens.names[i] in base:
-                    baselen += e
-                else:
-                    newlen += e
-            if baselen == 0 and newlen == 1:
-                offenders.append(g)
-                break
-    return offenders
-
-
 def verify_relative(ext, target, N, base_map=None, polybound=None):
     """Certify a relative Sullivan extension against a comparison map.
 
@@ -218,7 +202,7 @@ def verify_relative(ext, target, N, base_map=None, polybound=None):
         if compose_morphisms(target, ext.inclusion) != base_map:
             raise ChainMapError("triangle over the base does not commute")
     cert = _relative_sullivan(ext)
-    offenders = _minimality_offenders(ext)
+    offenders = _linear_offenders(ext.total, ext.new_names)
     quasi_ok, detail = is_quasi_iso(target, (0, N), polybound=polybound)
     return RelativeReport(cert, offenders, quasi_ok, detail)
 

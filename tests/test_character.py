@@ -510,6 +510,28 @@ def test_decide_concordance_twisted_route():
         t0d, _torus_ku(omega, H, omega.gen("z"), zero)) is None
 
 
+def test_decide_concordance_rejects_non_flat_endpoints():
+    # checked before any cylinder is built, as a precondition error
+    W = DGCA([("u", 2), ("v", 3)])
+    W = DGCA(W.gens, d={"u": W.gen("v")})
+    f = line_datum(W, 1, W.gen("u"))
+    with pytest.raises(ValueError, match=r"endpoint f0 .*\['c2'\]"):
+        decide_concordance(f, f)
+    V = DGCA([("u", 2), ("a", 2), ("b", 3)])
+    V = DGCA(V.gens, d={"a": V.gen("b")})
+    f0 = line_datum(V, 1, V.gen("u"))
+    f1 = line_datum(V, 1, V.gen("u") + V.gen("a"))
+    with pytest.raises(ValueError, match=r"endpoint f1 .*\['c2'\]"):
+        decide_concordance(f0, f1)
+    T = DGCA([("x", 1), ("y", 1), ("z", 1), ("a", 3), ("b", 4)])
+    T = DGCA(T.gens, d={"a": T.gen("b")})
+    H = T.monomial({"x": 1, "y": 1, "z": 1})
+    t0d = _torus_ku(T, H, T.gen("x"), T.zero())
+    t1d = _torus_ku(T, H, T.gen("x"), T.gen("a"))
+    with pytest.raises(ValueError, match=r"endpoint f1 .*chain=\['f3'"):
+        decide_concordance(t0d, t1d)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
        st.integers(-3, 3))

@@ -344,6 +344,29 @@ def test_decide_concordance_exit_codes(tmp_path, capsys):
     assert _run(["verify-concordance", str(same)], capsys)[0] == 0
 
 
+@pytest.mark.parametrize("target, f1, datum, residual", [
+    ("algebra W { gen u:2; gen v:3; d u = v; }\n", "u", "F0", "-v"),
+    ("algebra W { gen u:2; gen a:2; gen b:3; d a = b; }\n", "u + a",
+     "F1", "-b"),
+], ids=["f0", "f1"])
+def test_decide_concordance_non_flat_endpoint_exits_1(
+        target, f1, datum, residual, tmp_path, capsys):
+    f = tmp_path / "nonflat.dgca"
+    f.write_text("algebra L { gen c:2; }\n" + target
+                 + "morphism F0 : L -> W { c = u; }\n"
+                 "morphism F1 : L -> W { c = %s; }\n" % f1)
+    # verify-flat's report on the endpoint, not a traceback
+    assert _run(["verify-concordance", str(f)], capsys) == (
+        1, "%s: not flat\n  d mismatch at c: %s\n" % (datum, residual), "")
+    code, out, err = _run(["verify-concordance", "--json", str(f)], capsys)
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema())
+    assert payload["result"] == {"concordant": False, "datum": datum,
+                                 "flat": False}
+    assert payload["witnesses"] == [{"generator": "c", "residual": residual}]
+
+
 def test_verify_concordance_explicit_cylinder(tmp_path, capsys):
     f = tmp_path / "cyl.dgca"
     f.write_text(

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from ratho.dgca import DGCA, check_d_squared
 from ratho.linfty import (
     LInfinityStructure,
     SullivanCertificate,
+    _linear_offenders,
+    _order,
     brackets_from_ce,
     ce_from_brackets,
     check_jacobi,
@@ -17,6 +20,9 @@ from ratho.linfty import (
     lie_algebra_brackets,
     whitehead_summary,
 )
+from ratho.minimal_model import _relative_sullivan
+
+import _graph_oracle as oracle
 
 
 def _s3():
@@ -275,3 +281,100 @@ def test_whitehead_summary_preconditions():
         whitehead_summary(_interval())
     with pytest.raises(ValueError):
         whitehead_summary(_heis3())
+
+
+# -- the dependency graph against the Tarjan-based oracle ---------------------
+
+@st.composite
+def _random_graphs(draw, max_size=9):
+    n = draw(st.integers(1, max_size))
+    names = draw(st.permutations("abcdefghi"))[:n]
+    deps = {g: set(draw(st.lists(st.sampled_from(names), max_size=3)))
+            for g in names}
+    return names, deps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_graphs())
+def test_order_matches_tarjan_oracle(graph):
+    names, deps = graph
+    got, want = _order(names, deps), oracle._order(names, deps)
+    assert (got.order, got.cycle) == (want.order, want.cycle)
+
+
+def _path(deps, g, h):
+    # brute force: a walk of one or more steps g -> m_1 -> ... -> m_k -> h
+    # through distinct m_i other than g and h
+    others = [x for x in deps if x not in (g, h)]
+    for k in range(len(others) + 1):
+        for mid in itertools.permutations(others, k):
+            walk = (g,) + mid + (h,)
+            if all(b in deps[a] for a, b in zip(walk, walk[1:])):
+                return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_graphs(max_size=6))
+def test_cycle_witness_is_a_cycle_of_the_first_cyclic_generator(graph):
+    names, deps = graph
+    cert = _order(names, deps)
+    cyclic = [g for g in names if _path(deps, g, g)]
+    if cert.ok:
+        assert not cyclic
+        return
+    cycle = cert.cycle
+    assert len(set(cycle)) == len(cycle)
+    assert all(cycle[(i + 1) % len(cycle)] in deps[g]
+               for i, g in enumerate(cycle))
+    # the loop lies among the generators that the first generator on a
+    # cycle reaches and is reached by, and starts there if it meets it
+    first = cyclic[0]
+    assert all(_path(deps, first, g) and _path(deps, g, first)
+               for g in cycle)
+    assert first not in cycle or cycle[0] == first
+    if first in deps[first]:
+        assert cycle == (first,)
+
+
+def test_cycle_witness_need_not_pass_through_the_first_cyclic_generator():
+    deps = {"s": {"a"}, "a": {"s", "b"}, "b": {"a"}}
+    assert _order(["s", "a", "b"], deps).cycle == ("a", "b")
+
+
+@st.composite
+def _random_algebras(draw):
+    degrees = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    names = draw(st.permutations("pqrstu"))[:len(degrees)]
+    g = DGCA(list(zip(names, degrees))).gens
+    d = {}
+    for name, deg in zip(names, degrees):
+        words = [w for k in (1, 2, 3)
+                 for w in itertools.combinations_with_replacement(names, k)
+                 if sum(g.degree_of(x) for x in w) == deg + 1
+                 and all(w.count(x) == 1 or g.degree_of(x) % 2 == 0
+                         for x in w)]
+        terms = draw(st.lists(st.sampled_from(words), max_size=3)) \
+            if words else []
+        p = g.zero()
+        for w in terms:
+            c = draw(st.integers(-2, 2).filter(bool))
+            p = p + g.monomial({x: w.count(x) for x in w}, c)
+        d[name] = p
+    A = DGCA(g, d)
+    base = [x for x in names if draw(st.booleans())]
+    ext = SimpleNamespace(
+        total=A, base=SimpleNamespace(gens=SimpleNamespace(names=base)),
+        new_names=tuple(x for x in names if x not in base))
+    return A, ext
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_algebras())
+def test_minimality_and_relative_legs_match_tarjan_oracle(case):
+    A, ext = case
+    assert is_minimal(A) == oracle.is_minimal(A)
+    assert _linear_offenders(A, ext.new_names) \
+        == oracle._minimality_offenders(ext)
+    got, want = _relative_sullivan(ext), oracle._relative_sullivan(ext)
+    assert (got.order, got.cycle) == (want.order, want.cycle)
