@@ -6,7 +6,10 @@ computed here.  A grading adapter supplies, for each grade k, basis(k), a
 finite list of monomials in a fixed order; window(m), whether a monomial
 lies in the cocycle window (None: every monomial does); shift(k, s), the
 grade s steps away, so d maps grade k to shift(k, 1); and d(m), the
-differential of one monomial.
+differential of one monomial as a term dict {monomial: Fraction} with no
+zero coefficients.  The adapter reads the differential's derivation table
+once, when it builds the Complex, so d(m) makes no Polynomial and does
+no validation.
 
 Window and overflow rule.  The columns of grade k are basis(k) followed
 by its overflow: the monomials outside basis(k) that d of a monomial of
@@ -96,7 +99,7 @@ class Complex:
             cols, pos = self._columns(self._shift(k, 1))
             for i in missing:
                 row = {}
-                for m, c in self._d(basis[i]).terms.items():
+                for m, c in self._d(basis[i]).items():
                     j = pos.get(m)
                     if j is None:
                         if not self._overflow:

@@ -317,28 +317,33 @@ def basis_of_degree(gens, n, polybound=None):
         raise UnboundedSliceError(
             "unbounded slice: degree-0 generators need a polybound")
     out = []
-    k = len(gens.gens)
-
-    def rec(i, remaining, zbudget, prefix):
-        if i == k:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        d = gens.degrees[i]
-        if d == 0:
-            emax = zbudget
-        elif gens.odd[i]:
-            emax = min(1, remaining // d)
-        else:
-            emax = remaining // d
-        for e in range(emax + 1):
-            prefix.append(e)
-            rec(i + 1, remaining - e * d,
-                zbudget - (e if d == 0 else 0), prefix)
-            prefix.pop()
-
-    rec(0, n, polybound if has_zero else 0, [])
+    _monomials(gens, 0, n, polybound if has_zero else 0, [], out)
     return out
+
+
+def _monomials(gens, i, remaining, zbudget, prefix, out):
+    """Append to out every completion of prefix at generator i, in order.
+
+    Module-level, not a closure over out: a nested recursive function
+    refers to itself through its cell, and that cycle would keep each
+    result alive until the cyclic collector runs.
+    """
+    if i == len(gens.degrees):
+        if remaining == 0:
+            out.append(tuple(prefix))
+        return
+    d = gens.degrees[i]
+    if d == 0:
+        emax = zbudget
+    elif gens.odd[i]:
+        emax = min(1, remaining // d)
+    else:
+        emax = remaining // d
+    for e in range(emax + 1):
+        prefix.append(e)
+        _monomials(gens, i + 1, remaining - e * d,
+                   zbudget - (e if d == 0 else 0), prefix, out)
+        prefix.pop()
 
 
 class AlgebraMorphism:

@@ -5,6 +5,11 @@ assignment on generators, each d(g) homogeneous of degree |g|+1 (or zero),
 extended to everything as a graded derivation.  d*d = 0 is a certified
 property (check_d_squared), not a constructor assumption.
 
+d has one kernel, _derive, which reads a derivation table (the terms of
+each nonzero d(x_i)).  apply_d is its Polynomial form and reads the table
+per call; _slices reads it once per complex and maps each basis monomial
+straight to its term dict (_d_row).
+
 Cohomology is computed degreewise on the finite complex of A's slices
 (_slices, a grading adapter over ratho._complex).  The rows of d are built
 once, as sparse {column: Fraction} rows, and go unchanged into the
@@ -102,35 +107,65 @@ class DGCA:
             "; ".join(eqs) if eqs else "d = 0")
 
 
+def _derivation_table(A):
+    """The nonzero d(x_i) of A as (i, [(exponents, coefficient), ...]).
+
+    Read once per computation: by apply_d per call, by a grading adapter
+    (_slices, twisted_derham._residues) per complex.  Nothing is stored on
+    A, which is mutable.
+    """
+    return [(i, list(A.d[x].terms.items()))
+            for i, x in enumerate(A.gens.names) if A.d[x].terms]
+
+
+def _derive(gens, table, m, c, out):
+    """Add c * d(m) for one canonical monomial m into the term dict out.
+
+    d(prefix * x_i^e * suffix) has the term (-1)^|prefix| e * prefix *
+    x_i^(e-1) * d(x_i) * suffix; exponents merge through normalize_product.
+    Cancelled terms stay in out as zeros.
+    """
+    for i, dterms in table:
+        e = m[i]
+        if e == 0:
+            continue
+        prefix = m[:i] + (e - 1,) + (0,) * (len(m) - i - 1)
+        suffix = (0,) * (i + 1) + m[i + 1:]
+        ce = -c * e if gens.monomial_degree(prefix) % 2 else c * e
+        for dm, dc in dterms:
+            left = normalize_product(gens, prefix, dm)
+            right = left and normalize_product(gens, left[1], suffix)
+            if right:
+                term = ce * dc if left[0] == right[0] else -ce * dc
+                out[right[1]] = out.get(right[1], 0) + term
+
+
+def _d_row(gens, table, m):
+    """d(m) of one canonical monomial as a term dict {monomial: Fraction}.
+
+    The per-monomial row of _slices: m is not validated, no Polynomial is
+    built and table is _derivation_table(A), read once per complex.
+    """
+    out = {}
+    _derive(gens, table, m, 1, out)
+    return {k: v for k, v in out.items() if v}
+
+
 def apply_d(A, p):
     """Extend the generator assignment as a degree +1 graded derivation.
 
-    d(prefix * x_i^e * suffix) has the term (-1)^|prefix| e * prefix *
-    x_i^(e-1) * d(x_i) * suffix.  The terms of each nonzero d(x_i) are read
-    once per call as (exponents, coefficient) pairs, a derivation table, and
-    exponents merge through normalize_product into one dict.  Nothing is
-    stored on A, which is mutable.
+    The Polynomial form of d: p is checked to live on A, the derivation
+    table is read once per call, and every term goes through _derive, the
+    kernel the rows of d (_d_row) are built from, so both give the same
+    terms.
     """
     gens = A.gens
     if p.gens != gens:
         raise ValueError("polynomial not over the algebra")
-    table = [(i, list(A.d[x].terms.items()))
-             for i, x in enumerate(gens.names) if A.d[x].terms]
+    table = _derivation_table(A)
     out = {}
     for m, c in p.terms.items():
-        for i, dterms in table:
-            e = m[i]
-            if e == 0:
-                continue
-            prefix = m[:i] + (e - 1,) + (0,) * (len(m) - i - 1)
-            suffix = (0,) * (i + 1) + m[i + 1:]
-            ce = -c * e if gens.monomial_degree(prefix) % 2 else c * e
-            for dm, dc in dterms:
-                left = normalize_product(gens, prefix, dm)
-                right = left and normalize_product(gens, left[1], suffix)
-                if right:
-                    term = ce * dc if left[0] == right[0] else -ce * dc
-                    out[right[1]] = out.get(right[1], 0) + term
+        _derive(gens, table, m, c, out)
     return Polynomial(gens, out)
 
 
@@ -183,8 +218,9 @@ def _slices(A, polybound):
         zero_exponent = sum(e for e, d in zip(m, gens.degrees) if d == 0)
         return zero_exponent <= polybound - 1
 
+    table = _derivation_table(A)
     return Complex(gens, basis, lambda n, s: n + s,
-                   lambda m: apply_d(A, gens.from_exponents(m)),
+                   lambda m: _d_row(gens, table, m),
                    in_window if bounded else None)
 
 

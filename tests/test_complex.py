@@ -9,9 +9,10 @@ a kernel vector that is new modulo the boundaries and the classes before
 it.  Ordinary cohomology reports the reduced residual of each such
 vector, twisted cohomology the kernel vector itself.
 
-The build-count half wraps basis_of_degree and apply_d: one computation
-builds each basis and each row of d once, however many degrees, classes
-or witnesses it asks about.
+The build-count half wraps basis_of_degree and dgca._d_row, the
+per-monomial row of d that _slices builds from one derivation table: one
+computation builds each basis and each row of d once, however many
+degrees, classes or witnesses it asks about.
 """
 
 import itertools
@@ -25,8 +26,9 @@ from ratho import core_algebra, dgca
 from ratho.character import line_quotient, twisted_ku_quotient
 from ratho.cli import corpus
 from ratho.core_algebra import Polynomial, basis_of_degree
-from ratho.dgca import DGCA, apply_d, cohomology, cohomology_dims
-from ratho.twisted_derham import TwistedComplex, twisted_cohomology, twisted_d
+from ratho.dgca import DGCA, _slices, apply_d, cohomology, cohomology_dims
+from ratho.twisted_derham import (TwistedComplex, _residues,
+                                  twisted_cohomology, twisted_d)
 
 ZERO = Fraction(0)
 
@@ -144,6 +146,25 @@ def test_twisted_representatives_match_dense_oracle(base, twist, period):
                 == [_poly(base.gens, b, v) for v, _ in classes])
 
 
+@pytest.mark.parametrize("name", corpus.names())
+def test_slices_rows_match_apply_d(name):
+    A = corpus.algebra(name)
+    pb = 3 if any(d == 0 for d in A.gens.degrees) else None
+    cx = _slices(A, pb)
+    for n in range(13):
+        for m in cx.basis(n):
+            assert cx._d(m) == apply_d(A, A.gens.from_exponents(m)).terms
+
+
+@pytest.mark.parametrize("base, twist, period", _twist_cases())
+def test_residues_rows_match_twisted_d(base, twist, period):
+    C = TwistedComplex(base, twist, period=period, truncation=8)
+    cx = _residues(C)
+    for k in C.residues():
+        for m in cx.basis(k):
+            assert cx._d(m) == twisted_d(C, base.gens.from_exponents(m)).terms
+
+
 @pytest.mark.parametrize("name, n", [("t3", 0), ("su2", 1)])
 def test_line_quotient_classes_match_dense_oracle(name, n):
     omega = corpus.algebra(name)
@@ -219,13 +240,13 @@ def test_degree_range_builds_each_basis_once(monkeypatch, compute):
 def test_degree_range_builds_each_row_once(monkeypatch):
     cp2 = corpus.algebra("cp2")
     calls = []
-    original = dgca.apply_d
+    original = dgca._d_row
 
-    def counted(A, p):
-        calls.append(p)
-        return original(A, p)
+    def counted(gens, table, m):
+        calls.append(m)
+        return original(gens, table, m)
 
-    monkeypatch.setattr(dgca, "apply_d", counted)
+    monkeypatch.setattr(dgca, "_d_row", counted)
     cohomology(cp2, (0, 8))
     assert len(calls) == sum(len(basis_of_degree(cp2.gens, n))
                              for n in range(9))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 
@@ -151,6 +152,22 @@ def test_basis_of_degree_needs_polybound_for_degree0():
         basis_of_degree(gens, 1)
     got = basis_of_degree(gens, 1, polybound=2)
     assert got == [(0, 1), (1, 1), (2, 1)]
+
+
+def test_basis_of_degree_leaves_no_cyclic_garbage():
+    # the result must be freed by reference counting alone, not kept alive
+    # until the cyclic collector runs
+    gens = GeneratorSet([("t0", 0), ("x1", 1), ("y2", 2), ("z3", 3)])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(8):
+            basis_of_degree(gens, n, polybound=2)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_apply_morphism_identity():

@@ -1,9 +1,11 @@
 """The polynomial layer's fast paths against the kernels they replaced.
 
 _poly_oracle holds the earlier normalize_product, apply_d and matrix-power
-chern_character.  Random algebras mix odd, even and degree-0 generators,
-and random monomials carry odd exponents up to 1 and even ones up to 2, so
-every Koszul sign case and every vanishing odd square is reached.  The
+chern_character.  The earlier apply_d also checks the rows of d that
+_slices builds per monomial.  Random algebras mix odd, even and degree-0
+generators, and random monomials carry odd exponents up to 1 and even ones
+up to 2, so every Koszul sign case and every vanishing odd square is
+reached.  The
 Chern character is checked against traces of matrix powers, which do not
 go through the Chern forms it is now read from.
 """
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from ratho.chern_weil import CurvatureMatrix, chern_character
 from ratho.core_algebra import (GeneratorSet, Polynomial, basis_of_degree,
                                 normalize_product)
-from ratho.dgca import DGCA, apply_d
+from ratho.dgca import DGCA, _slices, apply_d
 
 import _poly_oracle as oracle
 
@@ -67,6 +69,16 @@ def test_apply_d_matches_oracle(data):
     A = data.draw(_algebra())
     p = data.draw(_polynomial(A.gens))
     assert apply_d(A, p).terms == oracle.apply_d(A, p).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_slices_rows_match_oracle(data):
+    A = data.draw(_algebra())
+    n = data.draw(st.integers(0, 6))
+    cx = _slices(A, 2)
+    for m in cx.basis(n):
+        assert cx._d(m) == oracle.apply_d(A, A.gens.from_exponents(m)).terms
 
 
 _CHERN_GENS = GeneratorSet([("u", 2), ("v", 2), ("a", 1), ("b", 1)])
