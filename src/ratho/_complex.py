@@ -23,8 +23,17 @@ a coordinate outside the window, overflow or not, are cut.  So
 dim H^k = dim cocycles - dim boundaries, and without a window or overflow
 this is plain cohomology.
 
-Each basis and each monomial's row of d is built once per instance, on
-first use.  An instance serves one computation: the objects it reads
+Maps into cohomology.  image(k, vectors) takes the map R^m -> H^k that
+sends e_i to the class of vectors[i], a sparse row over basis(k), and
+returns (relations, cokernel).  relations is a basis of its kernel over
+the indices 0..m-1: the nullspace of the residuals of vectors modulo the
+boundaries, by increasing free index.  cokernel lists, in homology(k)'s
+order, the representatives new modulo the boundaries plus the span of
+vectors.  homology(k) is computed first, so slice errors come in its
+order.  No other module calls ratho._linalg.
+
+Each basis, each monomial's row of d and each grade's homology is built
+once per instance, on first use.  An instance serves one computation: the objects it reads
 (DGCA.d in particular) are mutable, so nothing is kept on them.
 
 Vectors over basis(k), the rows of d among them, are sparse rows
@@ -151,17 +160,18 @@ class Complex:
         return _linalg.intersect_with_coordinate_subspace(
             rows, set(self.window(k)), ncols)
 
-    def echelon(self, k):
+    def _echelon(self, k):
         """A new Echelon spanned by the boundaries of grade k."""
         ech = _linalg.Echelon()
         for v in self.boundaries(k):
             ech.add(v)
         return ech
 
+    @_once
     def homology(self, k):
         """Kernel, boundaries and one canonical class per new cocycle."""
         kernel = self.kernel(k)
-        ech = self.echelon(k)
+        ech = self._echelon(k)
         reps, cocycles = [], []
         for v in kernel:
             r = ech.add(v)
@@ -169,6 +179,18 @@ class Complex:
                 reps.append(self.poly(k, dict(r)))
                 cocycles.append(self.poly(k, v))
         return Homology(kernel, self.boundaries(k), reps, cocycles)
+
+    def image(self, k, vectors):
+        """(relations, cokernel) of R^m -> H^k, e_i -> [vectors[i]]; see
+        "Maps into cohomology" above."""
+        reps = self.homology(k).representatives
+        ech = self._echelon(k)
+        resid = [ech.reduce(v) for v in vectors]
+        # a list, so that every residual is added; if each is new, the
+        # residuals are independent and there is no relation
+        relations = [] if all([ech.add(r) for r in resid]) else (
+            _linalg.nullspace(_linalg.transpose(resid).values(), len(resid)))
+        return relations, [p for p in reps if ech.add(self.vector(k, p))]
 
     def primitive(self, k, p):
         """y of grade shift(k, -1) with d(y) = p, or None if none exists."""
@@ -186,7 +208,7 @@ class Complex:
 
     @_once
     def _key_echelon(self, k):
-        return self.echelon(k)
+        return self._echelon(k)
 
     def class_key(self, k, p):
         """Canonical key of p's class: its residue modulo the boundaries."""

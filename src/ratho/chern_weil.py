@@ -118,27 +118,28 @@ def block_sum(a, b):
 def _det(entries, gens):
     # expansion along successive rows, memoized on the surviving columns;
     # valid because all entries commute
-    n = len(entries)
-    memo = {}
+    return _minor(entries, gens, {}, tuple(range(len(entries))))
 
-    def minor(cols):
-        if not cols:
-            return gens.one()
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = n - len(cols)
-        out = gens.zero()
-        for j, c in enumerate(cols):
-            e = entries[row][c]
-            if e.is_zero():
-                continue
-            term = e * minor(cols[:j] + cols[j + 1:])
-            out = out + (term if j % 2 == 0 else -term)
-        memo[cols] = out
-        return out
 
-    return minor(tuple(range(n)))
+# _minor and _pf are module-level: a nested recursive function refers to
+# itself through its cell, a cycle that would keep memo until gc runs
+def _minor(entries, gens, memo, cols):
+    """The minor of entries on its last len(cols) rows and columns cols."""
+    if not cols:
+        return gens.one()
+    cached = memo.get(cols)
+    if cached is not None:
+        return cached
+    row = len(entries) - len(cols)
+    out = gens.zero()
+    for j, c in enumerate(cols):
+        e = entries[row][c]
+        if e.is_zero():
+            continue
+        term = e * _minor(entries, gens, memo, cols[:j] + cols[j + 1:])
+        out = out + (term if j % 2 == 0 else -term)
+    memo[cols] = out
+    return out
 
 
 def determinant(phi):
@@ -218,28 +219,26 @@ def pfaffian(phi):
         raise ValueError("Pfaffian needs an antisymmetric matrix")
     if phi.size % 2:
         raise ValueError("Pfaffian needs even size, got %d" % phi.size)
-    entries = phi.entries
-    gens = phi.gens
-    memo = {}
+    return _pf(phi.entries, phi.gens, {}, tuple(range(phi.size)))
 
-    def pf(idx):
-        if not idx:
-            return gens.one()
-        cached = memo.get(idx)
-        if cached is not None:
-            return cached
-        i0 = idx[0]
-        out = gens.zero()
-        for j in range(1, len(idx)):
-            e = entries[i0][idx[j]]
-            if e.is_zero():
-                continue
-            term = e * pf(idx[1:j] + idx[j + 1:])
-            out = out + (term if j % 2 == 1 else -term)
-        memo[idx] = out
-        return out
 
-    return pf(tuple(range(phi.size)))
+def _pf(entries, gens, memo, idx):
+    """The Pfaffian of entries on the rows and columns idx, memoized."""
+    if not idx:
+        return gens.one()
+    cached = memo.get(idx)
+    if cached is not None:
+        return cached
+    i0 = idx[0]
+    out = gens.zero()
+    for j in range(1, len(idx)):
+        e = entries[i0][idx[j]]
+        if e.is_zero():
+            continue
+        term = e * _pf(entries, gens, memo, idx[1:j] + idx[j + 1:])
+        out = out + (term if j % 2 == 1 else -term)
+    memo[idx] = out
+    return out
 
 
 def euler_form(phi):

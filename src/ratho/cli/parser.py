@@ -155,13 +155,9 @@ class ModelFile:
     def __eq__(self, other):
         if not isinstance(other, ModelFile):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        for name, A in self.algebras.items():
-            B = other.algebras.get(name)
-            if B is None or A.gens != B.gens or A.d != B.d:
-                return False
-        return (self.morphisms == other.morphisms
+        return (self.order == other.order
+                and self.algebras == other.algebras
+                and self.morphisms == other.morphisms
                 and self.matrices == other.matrices
                 and self.twists == other.twists)
 

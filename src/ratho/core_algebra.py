@@ -295,13 +295,6 @@ class Polynomial:
         return "<Polynomial %s>" % self
 
 
-def poly_mul(p, q):
-    """Product of two polynomials (same as p * q)."""
-    if not isinstance(p, Polynomial) or not isinstance(q, Polynomial):
-        raise TypeError("poly_mul wants two Polynomials")
-    return p * q
-
-
 def basis_of_degree(gens, n, polybound=None):
     """All canonical monomials of total degree n, as exponent tuples.
 
@@ -416,11 +409,6 @@ def apply_morphism(phi, p):
                 break
         out = out + img
     return out
-
-
-def identity_morphism(alg):
-    gens = gens_of(alg)
-    return AlgebraMorphism(alg, alg, {n: gens.gen(n) for n in gens.names})
 
 
 def morphism_by_names(source, target, overrides=None):

@@ -297,38 +297,39 @@ def _require_chain_map(phi, message):
         raise ChainMapError(message % (name,), name)
 
 
+def _induced(phi, source, target, n):
+    """(reps, relations, cokernel): source.homology(n)'s representatives
+    and target.image(n, ...) of their images under phi."""
+    reps = source.homology(n).representatives
+    return (reps,) + target.image(
+        n, [target.vector(n, apply_morphism(phi, p)) for p in reps])
+
+
 def is_quasi_iso(phi, degrees, polybound=None):
     """Does phi induce isomorphisms on H^n over the inclusive range?
 
     Chain-map failure is a precondition error (ChainMapError).  Returns
     (ok, reports); each report records per-degree dimensions and the
-    injectivity/surjectivity verdicts, obtained by reducing mapped
-    representatives against the target's boundary space (the echelon
-    form plays the role of repeated exactness tests).
+    injectivity/surjectivity verdicts, all read from the target's
+    Complex.image of the source's mapped representatives: injective when
+    it has no relations, surjective when it has no cokernel, and
+    dim_target = dim_source - relations + cokernel.
     """
     _require_chain_map(phi, "not a chain map at generator %r")
     lo, hi = degrees
     source = _slices(phi.source, polybound)
     target = _slices(phi.target, polybound)
     reports = []
-    all_ok = True
     for n in range(lo, hi + 1):
-        sreps = source.homology(n).representatives
-        treps = target.homology(n).representatives
-        ech = target.echelon(n)
-        # lists, not generators: every vector must be added in turn
-        injective = all([ech.add(target.vector(n, apply_morphism(phi, p)))
-                         for p in sreps])
-        surjective = not any([ech.add(target.vector(n, p)) for p in treps])
+        sreps, relations, cokernel = _induced(phi, source, target, n)
         reports.append({
             "degree": n,
             "dim_source": len(sreps),
-            "dim_target": len(treps),
-            "injective": injective,
-            "surjective": surjective,
+            "dim_target": len(sreps) - len(relations) + len(cokernel),
+            "injective": not relations,
+            "surjective": not cokernel,
         })
-        all_ok = all_ok and injective and surjective
-    return all_ok, reports
+    return all(r["injective"] and r["surjective"] for r in reports), reports
 
 
 def tensor(A, B, rename=None):

@@ -4,10 +4,11 @@ The absolute construction assumes cohomological 1-connectedness (H^0 = Q,
 H^1 = 0) and proceeds degree by degree: in degree n it first adjoins closed
 generators surjecting onto the cokernel of H^n(M) -> H^n(A), then generators
 whose differentials span the kernel of H^{n+1}(M) -> H^{n+1}(A), with
-comparison values chosen as explicit cocycle and primitive witnesses.  All
-representative choices come from the deterministic echelon order, so reruns
-reproduce the same presentation; generator counts per degree are the only
-isomorphism invariant asserted.
+comparison values chosen as explicit cocycle and primitive witnesses; both
+steps read H(phi) from one Complex.image.  All representative choices come
+from the deterministic echelon order, so reruns reproduce the same
+presentation; generator counts per degree are the only isomorphism
+invariant asserted.
 
 Relative Sullivan extensions are verified, never constructed.  Relative
 minimality is the strict condition: no differential of a new generator may
@@ -16,7 +17,6 @@ relative legs are the absolute checks of linfty's dependency-graph helpers
 (_order, _linear_offenders) run on the new generators alone.
 """
 
-from . import _linalg
 from .core_algebra import (
     AlgebraMorphism,
     GeneratorSet,
@@ -25,8 +25,8 @@ from .core_algebra import (
     compose_morphisms,
     morphism_by_names,
 )
-from .dgca import (DGCA, ChainMapError, _require_chain_map, _slices,
-                   is_quasi_iso)
+from .dgca import (DGCA, ChainMapError, _induced, _require_chain_map,
+                   _slices, is_quasi_iso)
 from .linfty import _dependencies, _linear_offenders, _order
 
 
@@ -53,12 +53,12 @@ def _embed(p, gens):
     return Polynomial(gens, {m + pad: c for m, c in p.terms.items()})
 
 
-def minimal_model(A, N, polybound=None, budget=64, reverse=False):
+def minimal_model(A, N, polybound=None, budget=64):
     """Minimal Sullivan model of A through degree N with comparison map.
 
-    reverse flips the deterministic order in which representative classes
-    are consumed; the resulting presentation may differ but generator counts
-    may not.  budget caps the total number of adjoined generators.
+    The presentation follows the generator order of A, which orders every
+    basis: declaring A's generators in another order may change it, but
+    not the counts.  budget caps the total number of adjoined generators.
     """
     if N < 1:
         raise ValueError("degree bound must be >= 1")
@@ -92,32 +92,16 @@ def minimal_model(A, N, polybound=None, budget=64, reverse=False):
 
     M, phi = build()
     for n in range(2, N + 1):
-        ech = slices.echelon(n)
-        for p in _slices(M, None).homology(n).representatives:
-            ech.add(slices.vector(n, apply_morphism(phi, p)))
-        cands = slices.homology(n).representatives
-        if reverse:
-            cands.reverse()
-        for p in cands:
-            if ech.add(slices.vector(n, p)):
-                adjoin(n, p)
+        # closed generators for the cokernel of H^n(M) -> H^n(A)
+        for p in _induced(phi, _slices(M, None), slices, n)[2]:
+            adjoin(n, p)
         M, phi = build()
 
-        # differentials spanning ker(H^{n+1}(M) -> H^{n+1}(A))
+        # killing generators for the kernel of H^{n+1}(M) -> H^{n+1}(A)
         model = _slices(M, None)
-        zs = model.homology(n + 1).representatives
-        # A's cocycles of degree n+1 are built as cohomology builds them,
-        # so a slice error there is raised here too
-        slices.kernel(n + 1)
-        echA1 = slices.echelon(n + 1)
-        resid = [echA1.reduce(slices.vector(n + 1, apply_morphism(phi, z)))
-                 for z in zs]
-        combos = _linalg.nullspace(_linalg.transpose(resid).values(),
-                                   len(resid)) if resid else []
-        if reverse:
-            combos.reverse()
+        zs, relations, _ = _induced(phi, model, slices, n + 1)
         zvecs = [model.vector(n + 1, z) for z in zs]
-        for cvec in combos:
+        for cvec in relations:
             z = model.combine(n + 1, cvec.values(), [zvecs[i] for i in cvec])
             q = slices.primitive(n + 1, apply_morphism(phi, z))
             if q is None:

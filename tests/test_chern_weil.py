@@ -1,5 +1,6 @@
 """Characteristic-form calculus: determinant, trace and Pfaffian identities."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,26 @@ def test_pfaffian_preconditions():
     with pytest.raises(ValueError):
         pfaffian(diagonal_matrix([G.gen("a"), G.gen("b")]))
     assert euler_form(_antisym(G, [G.gen("a")])) == G.gen("a")
+
+
+@pytest.mark.parametrize("form", [determinant,
+                                  lambda phi: chern_forms(phi, 2),
+                                  pfaffian])
+def test_recursions_leave_no_cyclic_garbage(form):
+    # the memo of minors and sub-Pfaffians must be freed by reference
+    # counting alone, not kept alive until the cyclic collector runs
+    names = ["a%d%d" % (i, j) for i in range(4) for j in range(i + 1, 4)]
+    G = _even_gens(*names)
+    phi = _antisym(G, [G.gen(n) for n in names])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        form(phi)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- i8 and invariant rings -----------------------------------------------------

@@ -7,7 +7,11 @@ the full images (overflow included), boundaries the image of d on the
 previous grade intersected with the window's coordinates, and a class is
 a kernel vector that is new modulo the boundaries and the classes before
 it.  Ordinary cohomology reports the reduced residual of each such
-vector, twisted cohomology the kernel vector itself.
+vector, twisted cohomology the kernel vector itself.  Complex.image, the
+map into cohomology that is_quasi_iso and minimal_model both read, is
+checked by ranks: m vectors adding rank r to the boundaries have m - r
+relations, whose combinations is_exact solves, and dim H^k - r cokernel
+classes, independent modulo the boundaries and the vectors.
 
 The build-count half wraps basis_of_degree and dgca._d_row, the
 per-monomial row of d that _slices builds from one derivation table: one
@@ -25,8 +29,10 @@ import _dense_oracle as oracle
 from ratho import core_algebra, dgca
 from ratho.character import line_quotient, twisted_ku_quotient
 from ratho.cli import corpus
-from ratho.core_algebra import Polynomial, basis_of_degree
-from ratho.dgca import DGCA, _slices, apply_d, cohomology, cohomology_dims
+from ratho.core_algebra import (AlgebraMorphism, Polynomial, apply_morphism,
+                                basis_of_degree, morphism_by_names)
+from ratho.dgca import (DGCA, _slices, apply_d, cohomology, cohomology_dims,
+                        is_chain_map, is_exact)
 from ratho.twisted_derham import (TwistedComplex, _residues,
                                   twisted_cohomology, twisted_d)
 
@@ -144,6 +150,73 @@ def test_twisted_representatives_match_dense_oracle(base, twist, period):
         assert s.dim == dim
         assert ([c.rep for c in s.representatives]
                 == [_poly(base.gens, b, v) for v, _ in classes])
+
+
+def _image_maps():
+    """Chain maps phi with no degree-0 generators on either side: the zero
+    self-map of each such corpus model, the self-map doubling its closed
+    generators wherever that is a chain map, sp2inv -> twistor and two
+    maps line3 -> twistor."""
+    cases = []
+    for name in corpus.names():
+        A = corpus.algebra(name)
+        if any(d == 0 for d in A.gens.degrees):
+            continue
+        cases.append(pytest.param(
+            AlgebraMorphism(A, A, {n: A.zero() for n in A.gens.names}),
+            id="zero-" + name))
+        double = AlgebraMorphism(A, A, {
+            n: 2 * A.gen(n) if A.d[n].is_zero() else A.gen(n)
+            for n in A.gens.names})
+        if is_chain_map(double)[0]:
+            cases.append(pytest.param(double, id="double-" + name))
+    tw = corpus.algebra("twistor")
+    cases.append(pytest.param(
+        morphism_by_names(corpus.algebra("sp2inv"), tw), id="sp2inv-twistor"))
+    # c4 onto a nonzero boundary (a relation modulo the boundaries only),
+    # and onto a sum of two classes (one cokernel class fewer, not two)
+    c4 = corpus.algebra("line3")
+    for label, image in (("exact", apply_d(tw, tw.gen("h3"))),
+                         ("sum", tw.gen("hp1") + tw.monomial({"f2": 2}))):
+        cases.append(pytest.param(AlgebraMorphism(c4, tw, {"c4": image}),
+                                  id="%s-line3-twistor" % label))
+    return cases
+
+
+@pytest.mark.parametrize("phi", _image_maps())
+def test_image_matches_dense_oracle(phi):
+    T = phi.target
+    source, target = _slices(phi.source, None), _slices(T, None)
+
+    def d(m):
+        return apply_d(T, T.gens.from_exponents(m))
+
+    def dense(vs, width):
+        return [[v.get(i, ZERO) for i in range(width)] for v in vs]
+
+    for k in range(9):
+        basis = basis_of_degree(T.gens, k)
+        vectors = [target.vector(k, apply_morphism(phi, p))
+                   for p in source.homology(k).representatives]
+        relations, cokernel = target.image(k, vectors)
+        bnd = _rows([d(m) for m in basis_of_degree(T.gens, k - 1)],
+                    list(basis))
+        cocycles = len(basis) - oracle.rank(
+            _rows([d(m) for m in basis], basis_of_degree(T.gens, k + 1)))
+        spanned = bnd + dense(vectors, len(basis))
+        added = oracle.rank(spanned) - oracle.rank(bnd)
+        assert len(relations) == len(vectors) - added
+        assert len(cokernel) == cocycles - oracle.rank(bnd) - added
+        assert (oracle.rank(dense(relations, len(vectors)))
+                == len(relations))
+        for rel in relations:
+            p = target.combine(k, rel.values(), [vectors[i] for i in rel])
+            q = is_exact(T, p)
+            assert q is not None and apply_d(T, q) == p
+        # the cokernel classes are new modulo the boundaries and the image
+        new = dense((target.vector(k, p) for p in cokernel), len(basis))
+        assert (oracle.rank(spanned + new)
+                == oracle.rank(spanned) + len(cokernel))
 
 
 @pytest.mark.parametrize("name", corpus.names())

@@ -10,7 +10,6 @@ from ratho.core_algebra import (
     AlgebraMorphism,
     apply_morphism,
     basis_of_degree,
-    identity_morphism,
     morphism_by_names,
 )
 from ratho.dgca import (

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratho.core_algebra import basis_of_degree, identity_morphism, compose_morphisms
+from ratho.core_algebra import (basis_of_degree, compose_morphisms,
+                                morphism_by_names)
 from ratho.dgca import DGCA, apply_d, cohomology_dims, is_chain_map, is_exact, is_quasi_iso
 from ratho.simplicial_forms import (
     CylinderAlgebra,
@@ -99,7 +100,8 @@ def test_simplicial_mixed_identities():
             for i in range(n + 2):
                 lhs = compose_morphisms(face_pullback(i, n + 1), degeneracy_pullback(j, n))
                 if i == j or i == j + 1:
-                    rhs = identity_morphism(SimplexAlgebra(n).algebra)
+                    simplex = SimplexAlgebra(n).algebra
+                    rhs = morphism_by_names(simplex, simplex)
                 elif i < j:
                     rhs = compose_morphisms(degeneracy_pullback(j - 1, n - 1), face_pullback(i, n))
                 else:
