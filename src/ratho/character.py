@@ -515,7 +515,7 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     partial = [{}]
     for name in bundle.new_names:
         deg = bundle.total.gens.degree_of(name)
-        closed = [slices.poly(deg, v) for v in slices.kernel(deg)]
+        closed = slices.kernel(deg)
         grown = []
         for images in partial:
             particular = omega.zero()
@@ -528,11 +528,8 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
                     "lattice datum admits no flat extension at level %d"
                     % deg)
             for combo in itertools.product(lattice, repeat=len(closed)):
-                p = particular
-                for lam, z in zip(combo, closed):
-                    if lam:
-                        p = p + lam * z
-                grown.append({**images, name: p})
+                grown.append({**images, name: particular + slices.combine(
+                    deg, combo, closed)})
         partial = grown
     classes = {}
     for images in partial:

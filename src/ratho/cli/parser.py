@@ -30,7 +30,7 @@ from fractions import Fraction
 from ..core_algebra import AlgebraMorphism, GeneratorSet
 from ..dgca import DGCA
 
-# each level costs three frames of _expr/_term/_factor recursion
+# each level costs three frames of parse_expr/_term/_factor recursion
 MAX_NESTING = 100
 
 
@@ -205,16 +205,12 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self, gens):
-        value, _ = self._expr(gens)
-        return value
-
-    def _expr(self, gens):
-        value, odd = self._term(gens)
+        value, _ = self._term(gens)
         while self.at_sym("+") or self.at_sym("-"):
             op = self.next().value
             rhs, _ = self._term(gens)
             value = value + rhs if op == "+" else value - rhs
-        return value, odd
+        return value
 
     def _term(self, gens):
         negate = False
@@ -262,7 +258,7 @@ class _Parser:
                 self.error("parentheses nested deeper than %d" % MAX_NESTING)
             self.depth += 1
             self.next()
-            value, _ = self._expr(gens)
+            value = self.parse_expr(gens)
             self.expect_sym(")")
             self.depth -= 1
             if self.at_sym("^"):

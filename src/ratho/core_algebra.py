@@ -309,34 +309,42 @@ def basis_of_degree(gens, n, polybound=None):
     if has_zero and polybound is None:
         raise UnboundedSliceError(
             "unbounded slice: degree-0 generators need a polybound")
+    zbudget = polybound if has_zero else 0
+    if zbudget < 0:
+        return []
+    # an odometer over the exponent vector, not a recursion, so that no
+    # stack grows with the number of generators: rem[i] and zrem[i] are
+    # the degree and degree-0 budget left before position i, caps[i] the
+    # largest exponent position i may take given them
+    degrees, odd = gens.degrees, gens.odd
+    k = len(degrees)
+    exps, caps = [0] * k, [0] * k
+    rem = [n] * (k + 1)
+    zrem = [zbudget] * (k + 1)
     out = []
-    _monomials(gens, 0, n, polybound if has_zero else 0, [], out)
-    return out
-
-
-def _monomials(gens, i, remaining, zbudget, prefix, out):
-    """Append to out every completion of prefix at generator i, in order.
-
-    Module-level, not a closure over out: a nested recursive function
-    refers to itself through its cell, and that cycle would keep each
-    result alive until the cyclic collector runs.
-    """
-    if i == len(gens.degrees):
-        if remaining == 0:
-            out.append(tuple(prefix))
-        return
-    d = gens.degrees[i]
-    if d == 0:
-        emax = zbudget
-    elif gens.odd[i]:
-        emax = min(1, remaining // d)
-    else:
-        emax = remaining // d
-    for e in range(emax + 1):
-        prefix.append(e)
-        _monomials(gens, i + 1, remaining - e * d,
-                   zbudget - (e if d == 0 else 0), prefix, out)
-        prefix.pop()
+    i = 0
+    while True:
+        while i < k:
+            d = degrees[i]
+            caps[i] = zrem[i] if d == 0 else (
+                min(1, rem[i] // d) if odd[i] else rem[i] // d)
+            exps[i] = 0
+            i += 1
+            rem[i], zrem[i] = rem[i - 1], zrem[i - 1]
+        if rem[k] == 0:
+            out.append(tuple(exps))
+        # advance the rightmost position below its cap, reset the rest
+        i = k - 1
+        while i >= 0 and exps[i] == caps[i]:
+            i -= 1
+        if i < 0:
+            return out
+        exps[i] += 1
+        if degrees[i]:
+            rem[i + 1] -= degrees[i]
+        else:
+            zrem[i + 1] -= 1
+        i += 1
 
 
 class AlgebraMorphism:

@@ -1,14 +1,16 @@
 """Degreewise construction of minimal Sullivan models; relative extensions.
 
-The absolute construction assumes cohomological 1-connectedness (H^0 = Q,
-H^1 = 0) and proceeds degree by degree: in degree n it first adjoins closed
-generators surjecting onto the cokernel of H^n(M) -> H^n(A), then generators
-whose differentials span the kernel of H^{n+1}(M) -> H^{n+1}(A), with
-comparison values chosen as explicit cocycle and primitive witnesses; both
-steps read H(phi) from one Complex.image.  All representative choices come
-from the deterministic echelon order, so reruns reproduce the same
-presentation; generator counts per degree are the only isomorphism
-invariant asserted.
+The absolute construction runs one step per degree n = 0 .. N+1.  Step n
+reads H^n(phi): H^n(M) -> H^n(A) once (dgca._induced), adjoins a killing
+generator v of degree n-1, dv = z and phi(v) a primitive of phi(z), for
+each relation z, then, if n <= N, a closed generator for each cokernel
+class.  Every generator has degree >= 2, so v adds nothing in degree n:
+H^n(M + v) = H^n(M)/<[z]> has the same image in H^n(A), and the cokernel
+read before the kills is the one after them.  At n = 0, 1, where M is
+empty and H^0(M) = Q hits the unit, a cokernel is the refusal: H^0(A)
+must be Q and H^1(A) must vanish.  Representatives follow the
+deterministic echelon order, so reruns give the same presentation;
+counts per degree are the only isomorphism invariant asserted.
 
 Relative Sullivan extensions are verified, never constructed.  Relative
 minimality is the strict condition: no differential of a new generator may
@@ -35,7 +37,10 @@ class BudgetExceeded(RuntimeError):
 
 
 class MinimalModelResult:
-    """Minimal model M, comparison map into A, certified bound, counts per degree."""
+    """Minimal model M, comparison map into A, bound N, counts per degree.
+
+    The construction makes comparison a quasi-isomorphism through N but
+    does not re-check it; is_quasi_iso and is_minimal are the checks."""
 
     def __init__(self, model, comparison, bound, counts):
         self.model = model
@@ -63,12 +68,6 @@ def minimal_model(A, N, polybound=None, budget=64):
     if N < 1:
         raise ValueError("degree bound must be >= 1")
     slices = _slices(A, polybound)
-    h0, h1 = slices.dims(0), slices.dims(1)
-    if h0 != 1:
-        raise ValueError("H^0 must be one-dimensional")
-    if h1 != 0:
-        raise ValueError("H^1 must vanish")
-
     pairs = []
     d_data = {}
     phi_data = {}
@@ -91,23 +90,25 @@ def minimal_model(A, N, polybound=None, budget=64):
         return M, phi
 
     M, phi = build()
-    for n in range(2, N + 1):
-        # closed generators for the cokernel of H^n(M) -> H^n(A)
-        for p in _induced(phi, _slices(M, None), slices, n)[2]:
-            adjoin(n, p)
-        M, phi = build()
-
-        # killing generators for the kernel of H^{n+1}(M) -> H^{n+1}(A)
+    for n in range(N + 2):
         model = _slices(M, None)
-        zs, relations, _ = _induced(phi, model, slices, n + 1)
-        zvecs = [model.vector(n + 1, z) for z in zs]
+        zs, relations, cokernel = _induced(phi, model, slices, n)
+        if cokernel and n < 2:
+            raise ValueError("H^0 must be one-dimensional" if n == 0
+                             else "H^1 must vanish")
+        # killing generators of degree n-1 for the kernel of H^n(phi)
+        zvecs = [model.vector(n, z) for z in zs]
         for cvec in relations:
-            z = model.combine(n + 1, cvec.values(), [zvecs[i] for i in cvec])
-            q = slices.primitive(n + 1, apply_morphism(phi, z))
+            z = model.combine(n, cvec.values(), [zvecs[i] for i in cvec])
+            q = slices.primitive(n, apply_morphism(phi, z))
             if q is None:
                 raise RuntimeError(
                     "no primitive witness within the polynomial-degree budget")
-            adjoin(n, q, z)
+            adjoin(n - 1, q, z)
+        if n <= N:
+            # closed generators of degree n for the cokernel of H^n(phi)
+            for p in cokernel:
+                adjoin(n, p)
         M, phi = build()
 
     counts = {}

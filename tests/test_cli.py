@@ -1,5 +1,7 @@
 """Parser round-trips, fuzzed files, exit codes, JSON schema conformance."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratho.cli import corpus
 from ratho.cli.main import main
@@ -519,3 +522,109 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     code, _, err = _run(["check", str(f)], capsys)
     assert code == 2
     assert "cannot read %s: not valid UTF-8" % f in err
+
+
+def test_wide_model_enumerates_without_recursion(tmp_path, capsys):
+    # more generators than Python's recursion limit: enumerating monomials
+    # must not take one stack frame per generator
+    f = tmp_path / "wide.dgca"
+    f.write_text("algebra W {\n%s}\n" % "".join(
+        "  gen g%d:2;\n" % i for i in range(1200)))
+    code, out, _ = _run(["cohomology", "--max-degree", "1", str(f)], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["H^0 = 1", "H^1 = 0"]
+    code, _, _ = _run(["minimal-model", "--max-degree", "1", str(f)], capsys)
+    assert code == 0
+
+
+# -- fuzzed commands ----------------------------------------------------------
+
+# commands whose work is bounded on small inputs; line-quotient enumerates
+# 5^dim lattice points of the degree-2 cocycles, so it only runs on
+# algebras of at most 3 generators (5^3 points)
+_FUZZ_COMMANDS = [
+    ["check"], ["is-sullivan"], ["is-minimal"], ["brackets"],
+    ["cohomology", "--max-degree", "3", "--polybound", "1"],
+    ["minimal-model", "--max-degree", "3", "--polybound", "1"],
+    ["verify-flat"], ["chern"],
+    ["twisted-cohomology", "--twist", "H", "--max-degree", "4"],
+]
+_LINE_QUOTIENT = ["line-quotient", "--max-degree", "1", "--polybound", "1"]
+# the characters of the model language's keywords, names, numbers and
+# symbols
+_ALPHABET = "abcdeghilmnoprstwxAHM0123456789:;{}()[],+-*/^=># \n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    # one file per module, rewritten by every example
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.dgca"
+
+
+def _exit_codes(path, commands):
+    codes = []
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(argv + [str(path)]))
+    return codes
+
+
+@st.composite
+def _element(draw, gens, degree):
+    basis = basis_of_degree(gens, degree, polybound=2)
+    terms = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True)
+                 if basis else st.just([]))
+    p = gens.zero()
+    for m in terms:
+        c = draw(st.sampled_from([-2, -1, Fraction(1, 2), 1, 3]))
+        p = p + gens.from_exponents(m, Fraction(c))
+    return p
+
+
+@st.composite
+def _small_model(draw):
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    gens = GeneratorSet([("g%d" % i, d) for i, d in enumerate(degrees)])
+    lines = ["algebra A {"]
+    lines += ["  gen %s:%d;" % pair for pair in zip(gens.names, degrees)]
+    for g, d in zip(gens.names, degrees):
+        p = draw(_element(gens, d + 1))
+        if not p.is_zero():
+            lines.append("  d %s = %s;" % (g, p))
+    lines.append("}")
+    block = draw(st.sampled_from([None, "twist", "matrix", "morphism"]))
+    if block == "twist":
+        lines.append("twist H = %s;" % draw(
+            _element(gens, draw(st.sampled_from([1, 3])))))
+    elif block == "matrix":
+        rows = [[draw(_element(gens, 2)) for _ in range(2)] for _ in range(2)]
+        lines.append("matrix M : A { %s }" % " ".join(
+            "[%s, %s];" % tuple(row) for row in rows))
+    elif block == "morphism":
+        lines.append("morphism F : A -> A { %s }" % " ".join(
+            "%s = %s;" % (g, draw(_element(gens, d)))
+            for g, d in zip(gens.names, degrees)))
+    return len(degrees), "\n".join(lines) + "\n"
+
+
+# texts under 43 characters cannot declare four generators, so the
+# lattice enumeration of line-quotient stays small on them too
+@settings(max_examples=60, deadline=None)
+@given(st.text(_ALPHABET, max_size=42))
+def test_fuzzed_text_never_raises(fuzz_file, text):
+    fuzz_file.write_text(text)
+    codes = _exit_codes(fuzz_file, _FUZZ_COMMANDS + [_LINE_QUOTIENT])
+    assert set(codes) <= {0, 1, 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_model())
+def test_fuzzed_models_never_raise(fuzz_file, model):
+    size, text = model
+    fuzz_file.write_text(text)
+    commands = _FUZZ_COMMANDS + ([_LINE_QUOTIENT] if size <= 3 else [])
+    codes = _exit_codes(fuzz_file, commands)
+    assert set(codes) <= {0, 1, 2}
+    # the text is well formed, so check gets past the parser
+    assert codes[0] in (0, 1)

@@ -137,6 +137,7 @@ def _count_by_convolution(degrees, odd, n):
 def test_basis_of_degree_is_a_basis(degrees, n):
     gens = GeneratorSet([("g%d" % i, d) for i, d in enumerate(degrees)])
     basis = basis_of_degree(gens, n)
+    assert basis == sorted(basis)
     assert len(set(basis)) == len(basis)
     for m in basis:
         assert gens.monomial_degree(m) == n
@@ -150,6 +151,8 @@ def test_basis_of_degree_needs_polybound_for_degree0():
         basis_of_degree(gens, 1)
     got = basis_of_degree(gens, 1, polybound=2)
     assert got == [(0, 1), (1, 1), (2, 1)]
+    # a negative budget admits no exponent of a degree-0 generator
+    assert basis_of_degree(gens, 1, polybound=-1) == []
 
 
 def test_basis_of_degree_leaves_no_cyclic_garbage():

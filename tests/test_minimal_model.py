@@ -1,7 +1,10 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
+from ratho import dgca
+from ratho.cli import corpus
 from ratho.core_algebra import (AlgebraMorphism, apply_morphism,
                                 morphism_by_names)
 from ratho.dgca import (
@@ -143,6 +146,71 @@ def test_generator_order_changes_presentation_not_counts():
     _check_result(b, B)
     # bases follow the generator order, so the chosen classes move
     assert _presentation(a, A) != _presentation(b, A)
+
+
+# the package re-exports the function under the module's own name
+_MODULE = importlib.import_module("ratho.minimal_model")
+# the corpus models with H^1 != 0; every other one is cohomologically
+# 1-connected
+_H1_MODELS = ("heis3", "ku1", "ku1_h3", "t3", "line0")
+# the products of minimal corpus models that perfbench's certificates run
+_PRODUCTS = (("s2", "s3"), ("s2", "s4"), ("cp2", "s4"), ("s2", "cp2"),
+             ("s3", "s4"), ("cp3", "s5"))
+
+
+def _polybound(A):
+    return 3 if 0 in A.gens.degrees else None
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in corpus.names() if n not in _H1_MODELS])
+def test_corpus_models_pass_the_independent_checks(name):
+    A = corpus.algebra(name)
+    res = minimal_model(A, 8, polybound=_polybound(A))
+    _check_result(res, A, polybound=_polybound(A))
+
+
+@pytest.mark.parametrize("a,b", _PRODUCTS)
+def test_products_pass_the_independent_checks(a, b):
+    B = corpus.algebra(b)
+    P = tensor(corpus.algebra(a), B,
+               rename={n: n + "b" for n in B.gens.names})
+    res = minimal_model(P, 10)
+    # a product of minimal algebras is its own minimal model
+    assert res.counts == {
+        deg: P.gens.degrees.count(deg) for deg in set(P.gens.degrees)
+        if deg <= 10}
+    _check_result(res, P)
+
+
+@pytest.mark.parametrize("name", _H1_MODELS)
+def test_corpus_models_with_h1_are_refused(name):
+    A = corpus.algebra(name)
+    with pytest.raises(ValueError, match="H\\^1 must vanish"):
+        minimal_model(A, 8, polybound=_polybound(A))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8])
+def test_one_read_of_h_phi_per_degree(N, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return dgca._induced(*args)
+
+    monkeypatch.setattr(_MODULE, "_induced", counted)
+    minimal_model(_twistor_cofiber(), N)
+    assert calls == list(range(N + 2))
+
+
+def test_degree_zero_refusal_comes_first():
+    # H^0 is spanned by 1 and t, and d e = t^2 f leaves the slice in
+    # degree 1: degree 0 is read first, so its refusal is the error
+    A = DGCA([("t", 0), ("e", 1), ("f", 2)])
+    g = A.gens
+    A = DGCA(g, {"e": g.monomial({"t": 2, "f": 1})})
+    with pytest.raises(ValueError, match="H\\^0 must be one-dimensional"):
+        minimal_model(A, 3, polybound=2)
 
 
 def test_preconditions_rejected():
