@@ -12,8 +12,8 @@ from .character import (ConcordanceDatum, FlatFormDatum, NotConcordant,
                         decide_concordance, line_algebra, line_datum,
                         line_quotient, linear_concordance, preset_twistorial,
                         reverse_concordance, twisted_ku_bundle,
-                        twisted_ku_quotient, twisted_linear_concordance,
-                        verify_concordance, verify_flat, verify_twisted_flat)
+                        twisted_ku_quotient, verify_concordance, verify_flat,
+                        verify_twisted_flat)
 from .core_algebra import (AlgebraMorphism, DegreeError, GeneratorSet,
                            GeneratorSetMismatch, Polynomial,
                            UnboundedSliceError, apply_morphism,

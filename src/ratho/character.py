@@ -15,14 +15,19 @@ directions, with witnesses either way:
 
   * line coefficients (one closed generator), where concordance classes
     are ordinary cohomology classes, and
-  * the h3-twisted periodic family, where they are twisted cohomology
-    classes of odd residue.
+  * the h3-twisted periodic family (a bundle equal to
+    twisted_ku_bundle(kmax)), where they are twisted cohomology classes
+    of odd residue.
 
 Both are decided by one construction, the straight cylinder
 (1-t) F0 + t F1 + dt h, where the witness h is a primitive of F1 - F0.
-Each family supplies its own pair (d, primitive): apply_d and is_exact
-for line data, twisted_d and twisted_is_exact for twisted data.  A
-witness found gives the concordance; none found refutes it.
+_family alone recognizes a family, from the coefficients and the bundle
+and never from the Python type: it gives the generators that move, the
+differential that checks a witness (apply_d or twisted_d), and the complex
+and grade where primitives are searched (_slices at the generator's
+degree, or _residues at residue 1).  A witness found gives the
+concordance; none found refutes it.  Other coefficients, twisted data over
+other bundles included, are verification-only.
 
 Residuals in every report follow one convention, is_chain_map's: image of
 the source differential minus differential of the image, so a residual
@@ -30,8 +35,8 @@ states how far the form-side derivative falls short of what the
 coefficients demand.
 """
 
-import functools
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 from .core_algebra import (
@@ -43,8 +48,7 @@ from .core_algebra import (
 from .dgca import DGCA, _residuals, _slices, apply_d, is_chain_map, is_exact
 from .minimal_model import RelativeExtension, _relative_sullivan
 from .simplicial_forms import CylinderAlgebra, fiber_integrate
-from .twisted_derham import (TwistedComplex, _residues, twisted_d,
-                             twisted_is_exact)
+from .twisted_derham import TwistedComplex, _residues, twisted_d
 from .chern_weil import inv_ring_sp2
 
 
@@ -276,19 +280,54 @@ def _form(datum, names):
     return out
 
 
-def _straight_concordance(f0, f1, names, d, primitive, witness=None):
+# names move along a cylinder, d checks a witness, and complex and grade
+# are where primitives are searched and class keys taken
+_Family = namedtuple("_Family", "names d complex grade")
+
+
+def _family(f, polybound=None):
+    """The decidable family of f's coefficients, or NotImplementedError.
+
+    Line coefficients (no bundle, one closed generator of degree k) are
+    decided in _slices(target, polybound) at grade k.  The h3-twisted
+    periodic family (a bundle equal to twisted_ku_bundle(kmax)) is decided
+    in the residues of the target twisted by the image of h3, at residue 1.
+    """
+    gens, target, bundle = f.coefficients.gens, f.target, f.bundle
+    if bundle is None:
+        if len(gens.names) == 1 and f.coefficients.d[gens.names[0]].is_zero():
+            return _Family(gens.names, lambda y: apply_d(target, y),
+                           _slices(target, polybound), gens.degrees[0])
+    elif bundle.new_names:
+        ku = twisted_ku_bundle(len(bundle.new_names) - 1)
+        if (ku.base, ku.total) == (bundle.base, bundle.total):
+            C = TwistedComplex(target, f.twist.image("h3"))
+            return _Family(bundle.new_names, lambda y: twisted_d(C, y),
+                           _residues(C), 1)
+    raise NotImplementedError(
+        "concordance decision is available only for line coefficients and "
+        "the h3-twisted periodic family; general data support verification "
+        "only")
+
+
+def _straight_concordance(f0, f1, family, witness=None):
     """The straight cylinder from f0 to f1, with dt times a witness.
 
-    F0 and F1 sum the endpoints' images of names, and the witness h has
-    d(h) = F1 - F0: a given one is checked, an omitted one is
-    primitive(F1 - F0), and where that is None no concordance exists.
-    Each named generator g takes the degree |g|-1 part of h after dt; each
-    base generator of f0's bundle maps to the constant inclusion of its
-    image under f0's twist.
+    F0 and F1 sum the endpoints' images of the family's names, and the
+    witness h has d(h) = F1 - F0: a given one is checked; an omitted one
+    is zero when F1 = F0, and otherwise the family's primitive of F1 - F0,
+    searched only once the difference is closed; where there is none, no
+    concordance exists.  Each named generator g takes the degree |g|-1 part
+    of h after dt; each base generator of f0's bundle maps to the constant
+    inclusion of its image under f0's twist.
     """
+    names, d = family.names, family.d
     diff = _form(f1, names) - _form(f0, names)
     if witness is None:
-        witness = primitive(diff)
+        if not d(diff).is_zero():
+            raise ValueError("the endpoint difference is not closed")
+        witness = diff if diff.is_zero() else family.complex.primitive(
+            family.grade, diff)
         if witness is None:
             raise NotConcordant("the endpoint forms differ in class; "
                                 "no concordance exists")
@@ -311,31 +350,56 @@ def _straight_concordance(f0, f1, names, d, primitive, witness=None):
     return ConcordanceDatum(cyl, f0, f1, assignment)
 
 
-def _certify_classes(classes, names, d, primitive):
+def linear_concordance(f0, f1, h=None, polybound=None):
+    """Straight cylinder between two data of one decidable family.
+
+    The endpoints must share bundle, coefficients, target and twist, and
+    _family must recognize them; other coefficients raise
+    NotImplementedError.  The witness h has d(h) = F1 - F0 in the family's
+    differential, F summed over the family's generators, and a generator
+    of degree k takes h's degree k-1 part.  When h is omitted it is
+    searched in the family's complex; if none exists the construction is
+    refused, because no concordance exists at all.
+    """
+    b0, b1 = (f.bundle and (f.bundle.base, f.bundle.total) for f in (f0, f1))
+    if b0 != b1:
+        raise ValueError("endpoints live over different bundles")
+    if f0.coefficients != f1.coefficients:
+        raise ValueError("endpoints have different coefficients")
+    if f0.target.gens != f1.target.gens:
+        raise ValueError("endpoints have different targets")
+    if f0.twist is not None and f0.twist.morphism != f1.twist.morphism:
+        raise ValueError("endpoints have different twists")
+    return _straight_concordance(f0, f1, _family(f0, polybound), h)
+
+
+def _certify_classes(classes, family):
     """Certify a grouping of flat data into concordance classes, both ways.
 
-    classes maps a class key to its member data; a datum's form is the sum
-    of its images of names, d is the target's differential and
-    primitive(x) a y with d(y) = x, or None.  Within a class the straight
-    cylinder joins each member to the first; it is verified and its
-    fiber-integrated witness re-checked against the difference of forms.
-    Across classes, the differences of first members must have no
-    primitive: all pairs up to 16 classes, else a chain and a star.
+    classes maps a class key to its member data, all of one family
+    (_family); a datum's form is the sum of its images of the family's
+    names.  Within a class the straight cylinder joins each member to the
+    first; it is verified and its fiber-integrated witness re-checked
+    against the difference of forms.  Across classes, the differences of
+    first members must have no primitive in the family's complex: all
+    pairs up to 16 classes, else a chain and a star.
     Returns (concordances, refusals).
     """
+    names = family.names
     concordances = refusals = 0
     for members in classes.values():
         d0 = members[0]
         if not verify_concordance(constant_concordance(d0)).passed:
             raise RuntimeError("constant concordance failed verification")
         for d1 in members[1:]:
-            ccd = _straight_concordance(d0, d1, names, d, primitive)
+            ccd = _straight_concordance(d0, d1, family)
             if not verify_concordance(ccd).passed:
                 raise RuntimeError("straight concordance failed verification")
             h = d0.target.zero()
             for name in names:
                 h = h + fiber_integrate(ccd.cylinder, ccd.image(name))
-            if not (d(h) - _form(d1, names) + _form(d0, names)).is_zero():
+            if not (family.d(h) - _form(d1, names)
+                    + _form(d0, names)).is_zero():
                 raise RuntimeError("extracted witness does not integrate "
                                    "the endpoint difference")
             concordances += 1
@@ -346,8 +410,8 @@ def _certify_classes(classes, names, d, primitive):
         pairs = [(i, i + 1) for i in range(len(reps) - 1)]
         pairs += [(0, i) for i in range(2, len(reps))]
     for i, j in pairs:
-        if primitive(_form(reps[j], names)
-                     - _form(reps[i], names)) is not None:
+        if family.complex.primitive(family.grade, _form(reps[j], names)
+                                    - _form(reps[i], names)) is not None:
             raise RuntimeError("distinct classes had a difference with a "
                                "primitive")
         refusals += 1
@@ -399,30 +463,6 @@ def line_datum(omega, n, p):
     return FlatFormDatum(coeffs, omega, {coeffs.gens.names[0]: p})
 
 
-def _line_generator(F):
-    names = F.coefficients.gens.names
-    if len(names) != 1 or not F.coefficients.d[names[0]].is_zero():
-        raise ValueError("datum does not have line coefficients")
-    return names[0]
-
-
-def linear_concordance(f0, f1, h=None, polybound=None):
-    """Straight cylinder between two line-coefficient data.
-
-    The witness h has dh = F1 - F0.  When h is omitted an exactness
-    witness is searched for; if none exists the construction is refused,
-    because no concordance exists at all.
-    """
-    c = _line_generator(f0)
-    if c != _line_generator(f1):
-        raise ValueError("endpoints have different coefficients")
-    if f0.target.gens != f1.target.gens:
-        raise ValueError("endpoints have different targets")
-    omega = f0.target
-    return _straight_concordance(f0, f1, [c], lambda y: apply_d(omega, y),
-                                 lambda x: is_exact(omega, x, polybound), h)
-
-
 def line_quotient(omega, n, lattice, polybound=None):
     """Concordance classes of all lattice-coefficient flat (n+1)-form data.
 
@@ -435,8 +475,8 @@ def line_quotient(omega, n, lattice, polybound=None):
     refuted.  Classes therefore coincide with cohomology classes.
     """
     lattice = [Fraction(v) for v in lattice]
-    k = n + 1
-    cx = _slices(omega, polybound)
+    family = _family(line_datum(omega, n, omega.zero()), polybound)
+    cx, k = family.complex, family.grade
     h = cx.homology(k)
     classes = {}
     for combo in itertools.product(lattice, repeat=len(h.kernel)):
@@ -445,9 +485,7 @@ def line_quotient(omega, n, lattice, polybound=None):
     reps = [members[0] for members in classes.values()]
     data = {key: [line_datum(omega, n, p) for p in members]
             for key, members in classes.items()}
-    concordances, refusals = _certify_classes(
-        data, line_algebra(n).gens.names, lambda y: apply_d(omega, y),
-        lambda x: cx.primitive(k, x))
+    concordances, refusals = _certify_classes(data, family)
     return QuotientResult(classes, reps, concordances, refusals,
                           h_dim=len(h.kernel) - len(h.boundaries))
 
@@ -472,28 +510,6 @@ def twisted_ku_bundle(kmax):
     return RelativeExtension(DGCA([("h3", 3)]), total)
 
 
-def twisted_linear_concordance(t0d, t1d, witness=None):
-    """Straight cylinder between two data of the h3-twisted periodic family.
-
-    Both data must share the bundle and the twist.  The even witness h has
-    twisted_d(h) = F1 - F0 summed over all levels, and a level-k generator
-    takes its degree k-1 component.  When the witness is omitted it is
-    searched in the twisted complex of the target; if none exists the
-    construction is refused, because concordant data have equal twisted
-    classes.
-    """
-    if (t0d.bundle.base, t0d.bundle.total) \
-            != (t1d.bundle.base, t1d.bundle.total):
-        raise ValueError("endpoints live over different bundles")
-    if t0d.twist.morphism != t1d.twist.morphism:
-        raise ValueError("endpoints have different twists")
-    (b,) = t0d.bundle.base.gens.names
-    C = TwistedComplex(t0d.target, t0d.twist.image(b))
-    return _straight_concordance(
-        t0d, t1d, t0d.bundle.new_names, lambda y: twisted_d(C, y),
-        lambda x: twisted_is_exact(C, x), witness)
-
-
 def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     """Concordance classes of lattice data in the h3-twisted family.
 
@@ -509,9 +525,9 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     lattice = [Fraction(v) for v in lattice]
     bundle = twisted_ku_bundle(kmax)
     twist = FlatFormDatum(bundle.base, omega, {"h3": twist_form})
-    C = TwistedComplex(omega, twist_form)
+    family = _family(TwistedFlatFormDatum(bundle, twist, {
+        "h3": twist_form, **dict.fromkeys(bundle.new_names, omega.zero())}))
     slices = _slices(omega, None)
-    residues = _residues(C)
     partial = [{}]
     for name in bundle.new_names:
         deg = bundle.total.gens.degree_of(name)
@@ -537,47 +553,35 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
                                      {**images, "h3": twist_form})
         if not verify_twisted_flat(datum).passed:
             raise RuntimeError("enumerated datum failed verification")
-        total = _form(datum, bundle.new_names)
-        classes.setdefault(residues.class_key(1, total), []).append(datum)
-    concordances, refusals = _certify_classes(
-        classes, bundle.new_names, lambda y: twisted_d(C, y),
-        lambda x: residues.primitive(1, x))
-    rep_forms = [_form(members[0], bundle.new_names)
+        total = _form(datum, family.names)
+        key = family.complex.class_key(family.grade, total)
+        classes.setdefault(key, []).append(datum)
+    concordances, refusals = _certify_classes(classes, family)
+    rep_forms = [_form(members[0], family.names)
                  for members in classes.values()]
     return QuotientResult(classes, rep_forms, concordances, refusals,
-                          complex_=C)
+                          complex_=TwistedComplex(omega, twist_form))
 
 
 def decide_concordance(f0, f1, polybound=None):
     """Decide concordance where a decision procedure exists.
 
     Returns a verified ConcordanceDatum when the data are concordant and
-    None when they are provably not.  Only line coefficients and the
-    h3-twisted periodic family are decidable here; for any other
-    coefficients concordance is verification-only and this raises.
-    Endpoints that fail their own verification raise ValueError.
+    None when they are provably not.  The decision goes by the coefficient
+    family (_family), read off the data and never their type: only line
+    coefficients and the h3-twisted periodic family are decidable here.
+    For any other coefficients, twisted data over any other bundle
+    included, concordance is verification-only and this raises
+    NotImplementedError.  Endpoints that fail their own verification, or
+    that linear_concordance cannot join, raise ValueError.
     """
-    if isinstance(f0, TwistedFlatFormDatum) != isinstance(
-            f1, TwistedFlatFormDatum):
-        raise ValueError("cannot compare twisted and untwisted data")
     for which, f in (("f0", f0), ("f1", f1)):
         rep = _verify_datum(f)
         if not rep.passed:
             raise ValueError("endpoint %s fails verification: %r"
                              % (which, rep))
-    if isinstance(f0, TwistedFlatFormDatum):
-        build = twisted_linear_concordance
-    else:
-        try:
-            _line_generator(f0)
-        except ValueError:
-            raise NotImplementedError(
-                "concordance decision is available only for line "
-                "coefficients and the h3-twisted periodic family; general "
-                "data support verification only")
-        build = functools.partial(linear_concordance, polybound=polybound)
     try:
-        ccd = build(f0, f1)
+        ccd = linear_concordance(f0, f1, polybound=polybound)
     except NotConcordant:
         return None
     if not verify_concordance(ccd).passed:

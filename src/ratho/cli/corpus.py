@@ -1,8 +1,7 @@
 """Built-in model corpus.
 
 Each entry ships as a model file under data/ and carries a provenance
-citation.  Relative entries record which generators span the base; twisted
-entries name the twist block their file declares.
+citation.
 """
 
 from importlib import resources
@@ -22,7 +21,7 @@ _ENTRIES = [
     {"name": "s2", "description": "minimal model of the 2-sphere",
      "citation": _SULLIVAN},
     {"name": "s3", "description": "minimal model of the 3-sphere",
-     "citation": _SULLIVAN, "twist": "H"},
+     "citation": _SULLIVAN},
     {"name": "s4", "description": "minimal model of the 4-sphere",
      "citation": _SULLIVAN},
     {"name": "s5", "description": "minimal model of the 5-sphere",
@@ -54,8 +53,7 @@ _ENTRIES = [
      "description": "the odd tower with differentials shifted by a "
                     "degree-3 generator",
      "citation": ("M. Atiyah, G. Segal, Twisted K-theory and cohomology, "
-                  "Nankai Tracts Math. 11 (2006) 5-43"),
-     "base": ("h3",)},
+                  "Nankai Tracts Math. 11 (2006) 5-43")},
     {"name": "sp2inv",
      "description": "invariant polynomials of sp(2)",
      "citation": ("A. Borel, Sur la cohomologie des espaces fibres "
@@ -66,12 +64,11 @@ _ENTRIES = [
                     "sp(2) invariants",
      "citation": ("M. Atiyah, N. Hitchin, I. Singer, Self-duality in "
                   "four-dimensional Riemannian geometry, Proc. Roy. Soc. "
-                  "London A 362 (1978) 425-461"),
-     "base": ("hp1", "ch8")},
+                  "London A 362 (1978) 425-461")},
     {"name": "t3",
      "description": "exterior algebra on three degree-1 generators; "
                     "the 3-torus",
-     "citation": _CE, "twist": "H"},
+     "citation": _CE},
     {"name": "interval",
      "description": "polynomial forms on the 1-simplex",
      "citation": _SULLIVAN},
@@ -83,10 +80,6 @@ _ENTRIES += [
      "citation": _EM}
     for n in range(9)
 ]
-
-for _e in _ENTRIES:
-    _e.setdefault("base", None)
-    _e.setdefault("twist", None)
 
 _BY_NAME = {e["name"]: e for e in _ENTRIES}
 

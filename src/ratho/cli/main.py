@@ -302,27 +302,22 @@ def _cmd_twisted_op(args, C, cls):
     return 0, result, [], lines
 
 
-def _cmd_chern(args, name, phi):
-    kmax = (args.max_degree // 2) if args.max_degree is not None else phi.size
-    forms = chern_forms(phi, kmax)
-    lines = ["chern forms of %s" % name]
-    result = {"matrix": name, "forms": {}}
-    for k, c in enumerate(forms, start=1):
-        lines.append("c_%d = %s" % (k, c))
-        result["forms"]["c%d" % k] = str(c)
-    return 0, result, [], lines
+def _characteristic_forms(kind, forms_of, step):
+    """Handler listing kind's forms of a matrix, one per degree step.
 
-
-def _cmd_pontrjagin(args, name, phi):
-    kmax = (args.max_degree // 4) if args.max_degree is not None \
-        else max(phi.size // 2, 1)
-    forms = pontrjagin_forms(phi, kmax)
-    lines = ["pontrjagin forms of %s" % name]
-    result = {"matrix": name, "forms": {}}
-    for k, p in enumerate(forms, start=1):
-        lines.append("p_%d = %s" % (k, p))
-        result["forms"]["p%d" % k] = str(p)
-    return 0, result, [], lines
+    The k-th form is kind[0]_k, of degree step * k; without --max-degree
+    the list stops at the matrix size times 2 / step, at least 1.
+    """
+    def handler(args, name, phi):
+        kmax = (args.max_degree // step if args.max_degree is not None
+                else max(phi.size * 2 // step, 1))
+        lines = ["%s forms of %s" % (kind, name)]
+        result = {"matrix": name, "forms": {}}
+        for k, form in enumerate(forms_of(phi, kmax), start=1):
+            lines.append("%s_%d = %s" % (kind[0], k, form))
+            result["forms"]["%s%d" % (kind[0], k)] = str(form)
+        return 0, result, [], lines
+    return handler
 
 
 def _cmd_euler(args, name, phi):
@@ -547,8 +542,10 @@ _COMMANDS = {
                            "periodic twisted cohomology over a twist block"),
     "twisted-op": (_cmd_twisted_op, _twisted_rep,
                    "apply a periodic operation to a representative"),
-    "chern": (_cmd_chern, _matrix, "chern forms of the first matrix"),
-    "pontrjagin": (_cmd_pontrjagin, _antisymmetric_matrix,
+    "chern": (_characteristic_forms("chern", chern_forms, 2), _matrix,
+              "chern forms of the first matrix"),
+    "pontrjagin": (_characteristic_forms("pontrjagin", pontrjagin_forms, 4),
+                   _antisymmetric_matrix,
                    "pontrjagin forms of the first (antisymmetric) matrix"),
     "euler": (_cmd_euler, _antisymmetric_matrix,
               "euler form of the first (antisymmetric) matrix"),

@@ -62,6 +62,22 @@ class SimplexAlgebra:
         return "SimplexAlgebra(%d)" % self.n
 
 
+def _pullback(n, m, preimages):
+    """Pullback from forms on the n-simplex to the m-simplex.
+
+    t_j maps to the sum of the target coordinates listed by preimages(j)
+    (eliminated one included, substituted out) and dt_j to its d.
+    """
+    tgt = SimplexAlgebra(m)
+    assign = {}
+    for j in range(n):
+        img = sum((tgt.coordinate(k) for k in preimages(j)),
+                  tgt.algebra.zero())
+        assign["t%d" % j] = img
+        assign["dt%d" % j] = apply_d(tgt.algebra, img)
+    return AlgebraMorphism(SimplexAlgebra(n).algebra, tgt.algebra, assign)
+
+
 def face_pullback(i, n):
     """Pullback along the i-th coface, forms on the n-simplex to the (n-1)-simplex.
 
@@ -72,19 +88,8 @@ def face_pullback(i, n):
         raise ValueError("face pullback needs n >= 1")
     if not 0 <= i <= n:
         raise ValueError("face index out of range")
-    src = SimplexAlgebra(n)
-    tgt = SimplexAlgebra(n - 1)
-    assign = {}
-    for j in range(n):
-        if j < i:
-            img = tgt.coordinate(j)
-        elif j == i:
-            img = tgt.algebra.zero()
-        else:
-            img = tgt.coordinate(j - 1)
-        assign["t%d" % j] = img
-        assign["dt%d" % j] = apply_d(tgt.algebra, img)
-    return AlgebraMorphism(src.algebra, tgt.algebra, assign)
+    return _pullback(n, n - 1, lambda j: [j] if j < i else
+                     [] if j == i else [j - 1])
 
 
 def degeneracy_pullback(i, n):
@@ -94,19 +99,8 @@ def degeneracy_pullback(i, n):
     """
     if not 0 <= i <= n:
         raise ValueError("degeneracy index out of range")
-    src = SimplexAlgebra(n)
-    tgt = SimplexAlgebra(n + 1)
-    assign = {}
-    for j in range(n):
-        if j < i:
-            img = tgt.coordinate(j)
-        elif j == i:
-            img = tgt.coordinate(i) + tgt.coordinate(i + 1)
-        else:
-            img = tgt.coordinate(j + 1)
-        assign["t%d" % j] = img
-        assign["dt%d" % j] = apply_d(tgt.algebra, img)
-    return AlgebraMorphism(src.algebra, tgt.algebra, assign)
+    return _pullback(n, n + 1, lambda j: [j] if j < i else
+                     [i, i + 1] if j == i else [j + 1])
 
 
 def interval_algebra():

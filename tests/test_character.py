@@ -18,7 +18,6 @@ from ratho.character import (
     reverse_concordance,
     twisted_ku_bundle,
     twisted_ku_quotient,
-    twisted_linear_concordance,
     verify_concordance,
     verify_flat,
     verify_twisted_flat,
@@ -359,7 +358,7 @@ def test_twisted_linear_concordance_torus():
     zero = omega.zero()
     t0d = _torus_ku(omega, H, omega.gen("x"), zero)
     t1d = _torus_ku(omega, H, omega.gen("x"), H)
-    ccd = twisted_linear_concordance(t0d, t1d)
+    ccd = linear_concordance(t0d, t1d)
     assert verify_concordance(ccd).passed
     C = TwistedComplex(omega, H)
     back = omega.zero()
@@ -368,7 +367,7 @@ def test_twisted_linear_concordance_torus():
     assert twisted_d(C, back) == H
     bad = _torus_ku(omega, H, omega.gen("y"), zero)
     with pytest.raises(ValueError, match="no concordance"):
-        twisted_linear_concordance(t0d, bad)
+        linear_concordance(t0d, bad)
 
 
 def test_twisted_linear_concordance_given_witness():
@@ -377,10 +376,10 @@ def test_twisted_linear_concordance_given_witness():
     t0d = _torus_ku(omega, H, omega.gen("x"), omega.zero())
     t1d = _torus_ku(omega, H, omega.gen("x"), H)
     h = twisted_is_exact(TwistedComplex(omega, H), H)
-    ccd = twisted_linear_concordance(t0d, t1d, witness=h)
+    ccd = linear_concordance(t0d, t1d, h=h)
     assert verify_concordance(ccd).passed
     with pytest.raises(ValueError, match="dh does not equal") as err:
-        twisted_linear_concordance(t0d, t1d, witness=omega.zero())
+        linear_concordance(t0d, t1d, h=omega.zero())
     assert not isinstance(err.value, NotConcordant)
 
 
@@ -393,7 +392,7 @@ def test_twisted_linear_concordance_refuses_different_bundles():
     t1d = TwistedFlatFormDatum(bundle, twist, {
         "h3": H, "f1": omega.gen("x"), "f3": omega.zero()})
     with pytest.raises(ValueError, match="different bundles") as err:
-        twisted_linear_concordance(t0d, t1d)
+        linear_concordance(t0d, t1d)
     assert not isinstance(err.value, NotConcordant)
 
 
@@ -478,7 +477,7 @@ def test_decide_concordance_refuses_by_type():
     t0d = _torus_ku(t3, H, t3.gen("x"), t3.zero())
     t1d = _torus_ku(t3, H, t3.gen("y"), t3.zero())
     with pytest.raises(NotConcordant, match="no concordance exists"):
-        twisted_linear_concordance(t0d, t1d)
+        linear_concordance(t0d, t1d)
     assert decide_concordance(t0d, t1d) is None
 
 
@@ -530,6 +529,61 @@ def test_decide_concordance_rejects_non_flat_endpoints():
     t1d = _torus_ku(T, H, T.gen("x"), T.gen("a"))
     with pytest.raises(ValueError, match=r"endpoint f1 .*chain=\['f3'"):
         decide_concordance(t0d, t1d)
+
+
+def _h3_datum(bundle, target, H, images):
+    twist = FlatFormDatum(bundle.base, target, {"h3": H})
+    return TwistedFlatFormDatum(bundle, twist, {"h3": H, **images})
+
+
+def test_decide_concordance_refuses_other_twisted_bundles():
+    # a closed x2 or x3 is not the f1 of the periodic family.  The x2 data
+    # are concordant by x2 -> t*xy + dt*w, which the h3-twisted complex
+    # (where xy is not twisted-exact) would wrongly refute
+    base = DGCA([("h3", 3)])
+    bundle = RelativeExtension(base, DGCA([("h3", 3), ("x2", 2)]))
+    T = DGCA([("x", 1), ("y", 1), ("z", 1), ("w", 1)])
+    T = DGCA(T.gens, d={"w": T.gen("x") * T.gen("y")})
+    H = T.monomial({"x": 1, "y": 1, "z": 1})
+    xy = T.monomial({"x": 1, "y": 1})
+    f0 = _h3_datum(bundle, T, H, {"x2": T.zero()})
+    f1 = _h3_datum(bundle, T, H, {"x2": xy})
+    with pytest.raises(NotImplementedError, match="verification only"):
+        decide_concordance(f0, f1)
+    cyl = constant_concordance(f0).cylinder
+    t = cyl.algebra.gen(cyl.t_name)
+    dt = cyl.algebra.gen(cyl.dt_name)
+    ccd = ConcordanceDatum(cyl, f0, f1, {
+        "h3": cyl.inclusion(H),
+        "x2": t * cyl.inclusion(xy) + dt * cyl.inclusion(T.gen("w"))})
+    assert verify_concordance(ccd).passed
+    t3 = corpus.algebra("t3")
+    H = t3.monomial({"x": 1, "y": 1, "z": 1})
+    bundle = RelativeExtension(base, DGCA([("h3", 3), ("x3", 3)]))
+    g0 = _h3_datum(bundle, t3, H, {"x3": t3.zero()})
+    g1 = _h3_datum(bundle, t3, H, {"x3": H})
+    with pytest.raises(NotImplementedError, match="verification only"):
+        decide_concordance(g0, g1)
+
+
+@pytest.mark.parametrize("which", ["datum", "pushforward"])
+def test_decide_concordance_refuses_the_twistorial_preset(which):
+    F = getattr(preset_twistorial(), which)
+    with pytest.raises(NotImplementedError, match="verification only"):
+        decide_concordance(F, F)
+
+
+def test_decide_concordance_checks_the_difference_before_searching():
+    # both endpoints are flat, but on T^4 the difference x3 of the level-1
+    # forms is not twisted-closed: H*x3 is the volume form
+    T4 = DGCA([("x%d" % i, 1) for i in range(4)])
+    H = T4.monomial({"x0": 1, "x1": 1, "x2": 1})
+    bundle = twisted_ku_bundle(0)
+    f0 = _h3_datum(bundle, T4, H, {"f1": T4.zero()})
+    f1 = _h3_datum(bundle, T4, H, {"f1": T4.gen("x3")})
+    with pytest.raises(ValueError, match="closed") as err:
+        decide_concordance(f0, f1)
+    assert not isinstance(err.value, NotConcordant)
 
 
 @settings(max_examples=40, deadline=None)

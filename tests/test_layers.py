@@ -4,15 +4,21 @@ Every module under src/ratho is parsed, not imported, so the check holds
 for code no test runs.  Elimination reaches the rest of ratho only through
 Complex (homology, image, primitive, class_key), and the echelon of
 boundaries stays private to it.
+
+The layers perfbench/tracer.py wraps must exist too: each LAYERS path
+resolves to a function the way Tracer.install looks it up, so removing or
+renaming a traced function fails here, not only in a traced bench run.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ratho"
 MODULES = sorted(SRC.rglob("*.py"))
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 
 def _imports_linalg(node):
@@ -49,3 +55,21 @@ def test_every_module_is_checked():
     names = {p.name for p in MODULES}
     assert {"_complex.py", "_linalg.py", "dgca.py", "minimal_model.py",
             "main.py"} <= names
+
+
+def _traced_layers():
+    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.LAYERS
+
+
+@pytest.mark.parametrize("layer", _traced_layers(), ids=lambda l: l[0])
+def test_traced_layer_resolves(layer):
+    _, module_name, path, _, _ = layer
+    owner = importlib.import_module(module_name)
+    *owner_path, attr = path.split(".")
+    for part in owner_path:
+        owner = getattr(owner, part)
+    assert callable(owner.__dict__.get(attr)), (
+        "%s has no %r to trace" % (module_name, path))
