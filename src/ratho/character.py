@@ -16,18 +16,18 @@ directions, with witnesses either way:
   * line coefficients (one closed generator), where concordance classes
     are ordinary cohomology classes, and
   * the h3-twisted periodic family (a bundle equal to
-    twisted_ku_bundle(kmax)), where they are twisted cohomology classes
-    of odd residue.
+    twisted_ku_bundle(kmax)), where they are odd twisted classes cut at
+    degree 2kmax+1: classes of degree 2kmax+1 in target (x) Lambda(u).
 
 Both are decided by one construction, the straight cylinder
 (1-t) F0 + t F1 + dt h, where the witness h is a primitive of F1 - F0.
 _family alone recognizes a family, from the coefficients and the bundle
-and never from the Python type: it gives the generators that move, the
-differential that checks a witness (apply_d or twisted_d), and the complex
-and grade where primitives are searched (_slices at the generator's
-degree, or _residues at residue 1).  A witness found gives the
-concordance; none found refutes it.  Other coefficients, twisted data over
-other bundles included, are verification-only.
+and never from the Python type.  Both are line data over an algebra B,
+the target or, for the h3 family, the target with u, d u = -H: _lift
+sends a datum's images into B, apply_d there checks a witness, and
+_slices(B) searches one.  A witness found gives the concordance; none
+found refutes it.  Other coefficients, twisted data over other bundles
+included, are verification-only.
 
 Residuals in every report follow one convention, is_chain_map's: image of
 the source differential minus differential of the image, so a residual
@@ -36,19 +36,22 @@ coefficients demand.
 """
 
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .core_algebra import (
     AlgebraMorphism,
+    Polynomial,
     apply_morphism,
     gens_of,
     morphism_by_names,
 )
-from .dgca import DGCA, _residuals, _slices, apply_d, is_chain_map, is_exact
+from .dgca import (DGCA, _residuals, _slices, apply_d, is_chain_map,
+                   is_exact, tensor)
 from .minimal_model import RelativeExtension, _relative_sullivan
 from .simplicial_forms import CylinderAlgebra, fiber_integrate
-from .twisted_derham import TwistedComplex, _residues, twisted_d
+from .twisted_derham import TwistedComplex
 from .chern_weil import inv_ring_sp2
 
 
@@ -272,68 +275,79 @@ def reverse_concordance(ccd):
     return ConcordanceDatum(cyl, ccd.f1, ccd.f0, assignment)
 
 
-def _form(datum, names):
-    """The sum of a datum's images of the given coefficient generators."""
-    out = datum.target.zero()
-    for name in names:
-        out = out + datum.image(name)
-    return out
-
-
-# names move along a cylinder, d checks a witness, and complex and grade
-# are where primitives are searched and class keys taken
-_Family = namedtuple("_Family", "names d complex grade")
+# names move along a cylinder, _lift sends their images into algebra by
+# weights, and complex and grade are where primitives and keys are taken
+_Family = namedtuple("_Family", "names algebra complex grade weights")
 
 
 def _family(f, polybound=None):
     """The decidable family of f's coefficients, or NotImplementedError.
 
     Line coefficients (no bundle, one closed generator of degree k) are
-    decided in _slices(target, polybound) at grade k.  The h3-twisted
-    periodic family (a bundle equal to twisted_ku_bundle(kmax)) is decided
-    in the residues of the target twisted by the image of h3, at residue 1.
+    decided in B = target at grade k, weight 1.  The h3-twisted family (a
+    bundle equal to twisted_ku_bundle(kmax)) is decided in B = target (x)
+    Lambda(u), |u| = 2, d u = -H, at grade 2kmax+1: as d(x u^j/j!) = dx
+    u^j/j! - H x u^(j-1)/(j-1)! for even x, the cylinder's equations
+    F1_k - F0_k = d h_(k-1) - H h_(k-3) for odd k <= 2kmax+1, no further,
+    say that sum_i (F1 - F0)(f_(2i+1)) u^(kmax-i)/(kmax-i)! is exact in B.
     """
     gens, target, bundle = f.coefficients.gens, f.target, f.bundle
     if bundle is None:
         if len(gens.names) == 1 and f.coefficients.d[gens.names[0]].is_zero():
-            return _Family(gens.names, lambda y: apply_d(target, y),
-                           _slices(target, polybound), gens.degrees[0])
+            return _Family(gens.names, target, _slices(target, polybound),
+                           gens.degrees[0], {gens.names[0]: ((), 1)})
     elif bundle.new_names:
-        ku = twisted_ku_bundle(len(bundle.new_names) - 1)
+        kmax = len(bundle.new_names) - 1
+        ku = twisted_ku_bundle(kmax)
         if (ku.base, ku.total) == (bundle.base, bundle.total):
-            C = TwistedComplex(target, f.twist.image("h3"))
-            return _Family(bundle.new_names, lambda y: twisted_d(C, y),
-                           _residues(C), 1)
+            u = next(n for n in map("u%d".__mod__, itertools.count())
+                     if n not in target.gens.names)
+            B = tensor(target, DGCA([(u, 2)]))
+            B = DGCA(B.gens, {**B.d, u: -apply_morphism(
+                morphism_by_names(target, B), f.twist.image("h3"))})
+            weights = {n: ((kmax - i,), Fraction(1, math.factorial(kmax - i)))
+                       for i, n in enumerate(bundle.new_names)}
+            return _Family(bundle.new_names, B, _slices(B, polybound),
+                           2 * kmax + 1, weights)
     raise NotImplementedError(
         "concordance decision is available only for line coefficients and "
         "the h3-twisted periodic family; general data support verification "
         "only")
 
 
+def _lift(family, image):
+    """sum of c * image(name) * u^tail over names of weight (tail, c)."""
+    terms = {}
+    for name in family.names:
+        tail, c = family.weights[name]
+        terms.update((m + tail, c * x) for m, x in image(name).terms.items())
+    return Polynomial(family.algebra.gens, terms)
+
+
 def _straight_concordance(f0, f1, family, witness=None):
     """The straight cylinder from f0 to f1, with dt times a witness.
 
-    F0 and F1 sum the endpoints' images of the family's names, and the
-    witness h has d(h) = F1 - F0: a given one is checked; an omitted one
-    is zero when F1 = F0, and otherwise the family's primitive of F1 - F0,
-    searched only once the difference is closed; where there is none, no
-    concordance exists.  Each named generator g takes the degree |g|-1 part
-    of h after dt; each base generator of f0's bundle maps to the constant
-    inclusion of its image under f0's twist.
+    F0 and F1 lift the endpoints' images into the family's algebra B, and
+    the witness h has d(h) = F1 - F0 there: a given one (each g lifts its
+    degree |g|-1 part) is checked; an omitted one is zero when F1 = F0,
+    and otherwise a primitive in _slices(B); where there is none, no
+    concordance exists.  Each named generator g takes its part of h after
+    dt, read back through its weight; each base generator of f0's bundle
+    maps to the constant inclusion of its image under f0's twist.
     """
-    names, d = family.names, family.d
-    diff = _form(f1, names) - _form(f0, names)
+    zero, degree_of = f0.target.zero(), f0.coefficients.gens.degree_of
+    diff = _lift(family, f1.image) - _lift(family, f0.image)
     if witness is None:
-        if not d(diff).is_zero():
-            raise ValueError("the endpoint difference is not closed")
         witness = diff if diff.is_zero() else family.complex.primitive(
             family.grade, diff)
         if witness is None:
             raise NotConcordant("the endpoint forms differ in class; "
                                 "no concordance exists")
-    elif not (d(witness) - diff).is_zero():
-        raise ValueError("dh does not equal the endpoint difference")
-    parts = witness.homogeneous_parts()
+    else:
+        parts = witness.homogeneous_parts()
+        witness = _lift(family, lambda n: parts.get(degree_of(n) - 1, zero))
+        if apply_d(family.algebra, witness) != diff:
+            raise ValueError("dh does not equal the endpoint difference")
     cyl = CylinderAlgebra(f0.target)
     t = cyl.algebra.gen(cyl.t_name)
     dt = cyl.algebra.gen(cyl.dt_name)
@@ -341,9 +355,11 @@ def _straight_concordance(f0, f1, family, witness=None):
     if f0.bundle is not None:
         for b in f0.bundle.base.gens.names:
             assignment[b] = cyl.inclusion(f0.twist.image(b))
-    gens = f0.coefficients.gens
-    for name in names:
-        h = parts.get(gens.degree_of(name) - 1, f0.target.zero())
+    n = len(f0.target.gens)
+    for name in family.names:
+        tail, c = family.weights[name]
+        h = Polynomial(f0.target.gens, {
+            m[:n]: x / c for m, x in witness.terms.items() if m[n:] == tail})
         assignment[name] = ((1 - t) * cyl.inclusion(f0.image(name))
                             + t * cyl.inclusion(f1.image(name))
                             + dt * cyl.inclusion(h))
@@ -353,14 +369,18 @@ def _straight_concordance(f0, f1, family, witness=None):
 def linear_concordance(f0, f1, h=None, polybound=None):
     """Straight cylinder between two data of one decidable family.
 
-    The endpoints must share bundle, coefficients, target and twist, and
-    _family must recognize them; other coefficients raise
-    NotImplementedError.  The witness h has d(h) = F1 - F0 in the family's
-    differential, F summed over the family's generators, and a generator
-    of degree k takes h's degree k-1 part.  When h is omitted it is
-    searched in the family's complex; if none exists the construction is
-    refused, because no concordance exists at all.
+    Both endpoints are verified first, then must share bundle,
+    coefficients, target and twist, else ValueError; coefficients _family
+    does not recognize raise NotImplementedError.  A generator of degree k
+    takes h's degree k-1 part, and h lifted to the family's algebra B has
+    d(h) = F1 - F0.  When h is omitted it is searched in _slices(B); if
+    none exists the construction is refused, as no concordance exists.
     """
+    for which, f in (("f0", f0), ("f1", f1)):
+        rep = _verify_datum(f)
+        if not rep.passed:
+            raise ValueError("endpoint %s fails verification: %r"
+                             % (which, rep))
     b0, b1 = (f.bundle and (f.bundle.base, f.bundle.total) for f in (f0, f1))
     if b0 != b1:
         raise ValueError("endpoints live over different bundles")
@@ -377,15 +397,14 @@ def _certify_classes(classes, family):
     """Certify a grouping of flat data into concordance classes, both ways.
 
     classes maps a class key to its member data, all of one family
-    (_family); a datum's form is the sum of its images of the family's
-    names.  Within a class the straight cylinder joins each member to the
-    first; it is verified and its fiber-integrated witness re-checked
-    against the difference of forms.  Across classes, the differences of
-    first members must have no primitive in the family's complex: all
-    pairs up to 16 classes, else a chain and a star.
+    (_family); a datum's form is its lift into the family's algebra B.
+    Within a class the straight cylinder joins each member to the first;
+    it is verified and its fiber-integrated witness, lifted into B, is
+    re-checked with apply_d against the difference of forms.  Across
+    classes, the differences of first members must have no primitive in
+    _slices(B): all pairs up to 16 classes, else a chain and a star.
     Returns (concordances, refusals).
     """
-    names = family.names
     concordances = refusals = 0
     for members in classes.values():
         d0 = members[0]
@@ -395,23 +414,22 @@ def _certify_classes(classes, family):
             ccd = _straight_concordance(d0, d1, family)
             if not verify_concordance(ccd).passed:
                 raise RuntimeError("straight concordance failed verification")
-            h = d0.target.zero()
-            for name in names:
-                h = h + fiber_integrate(ccd.cylinder, ccd.image(name))
-            if not (family.d(h) - _form(d1, names)
-                    + _form(d0, names)).is_zero():
+            h = _lift(family, lambda n: fiber_integrate(ccd.cylinder,
+                                                        ccd.image(n)))
+            if apply_d(family.algebra, h) != (_lift(family, d1.image)
+                                              - _lift(family, d0.image)):
                 raise RuntimeError("extracted witness does not integrate "
                                    "the endpoint difference")
             concordances += 1
-    reps = [members[0] for members in classes.values()]
+    reps = [_lift(family, members[0].image) for members in classes.values()]
     if len(reps) <= 16:
         pairs = list(itertools.combinations(range(len(reps)), 2))
     else:
         pairs = [(i, i + 1) for i in range(len(reps) - 1)]
         pairs += [(0, i) for i in range(2, len(reps))]
     for i, j in pairs:
-        if family.complex.primitive(family.grade, _form(reps[j], names)
-                                    - _form(reps[i], names)) is not None:
+        if family.complex.primitive(family.grade,
+                                    reps[j] - reps[i]) is not None:
             raise RuntimeError("distinct classes had a difference with a "
                                "primitive")
         refusals += 1
@@ -427,7 +445,8 @@ class QuotientResult:
     its fiber-integrated witness re-checked; refusals counts the
     differences across classes certified to have no primitive.  A line
     result carries h_dim, the cohomology dimension; a twisted one carries
-    complex, the twisted de Rham complex its keys were computed in.
+    complex, the H-twisted complex (period 1) where each rep, a member's
+    summed odd forms, is a class; keys come from _family, not complex.
     """
 
     def __init__(self, classes, reps, concordances, refusals, h_dim=None,
@@ -516,13 +535,14 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     Enumerates flat twisted data over omega with twist h3 -> twist_form:
     level by level, each component solves d F_k = H * F_{k-2} as a
     particular solution plus a lattice combination of closed forms of
-    degree k.  Data are grouped by the canonical key of their total odd
-    form in the twisted complex, and the grouping is certified both ways:
-    within a class the straight cylinder is built, verified, and its
-    fiber-integration witness re-checked; across classes twisted
-    exactness of the difference is refuted.
+    degree k.  Data are grouped by the canonical key of their lift into
+    the family's algebra (_family), and the grouping is certified both
+    ways: within a class the straight cylinder is built, verified, and its
+    fiber-integration witness re-checked; across classes exactness of the
+    lifted difference is refuted.
     """
     lattice = [Fraction(v) for v in lattice]
+    C = TwistedComplex(omega, twist_form, period=1)
     bundle = twisted_ku_bundle(kmax)
     twist = FlatFormDatum(bundle.base, omega, {"h3": twist_form})
     family = _family(TwistedFlatFormDatum(bundle, twist, {
@@ -553,14 +573,13 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
                                      {**images, "h3": twist_form})
         if not verify_twisted_flat(datum).passed:
             raise RuntimeError("enumerated datum failed verification")
-        total = _form(datum, family.names)
-        key = family.complex.class_key(family.grade, total)
+        key = family.complex.class_key(family.grade,
+                                       _lift(family, datum.image))
         classes.setdefault(key, []).append(datum)
     concordances, refusals = _certify_classes(classes, family)
-    rep_forms = [_form(members[0], family.names)
-                 for members in classes.values()]
-    return QuotientResult(classes, rep_forms, concordances, refusals,
-                          complex_=TwistedComplex(omega, twist_form))
+    reps = [sum(map(members[0].image, family.names), omega.zero())
+            for members in classes.values()]
+    return QuotientResult(classes, reps, concordances, refusals, complex_=C)
 
 
 def decide_concordance(f0, f1, polybound=None):
@@ -570,16 +589,12 @@ def decide_concordance(f0, f1, polybound=None):
     None when they are provably not.  The decision goes by the coefficient
     family (_family), read off the data and never their type: only line
     coefficients and the h3-twisted periodic family are decidable here.
-    For any other coefficients, twisted data over any other bundle
-    included, concordance is verification-only and this raises
-    NotImplementedError.  Endpoints that fail their own verification, or
-    that linear_concordance cannot join, raise ValueError.
+    Both are decided as line data over the family's algebra B.  For any
+    other coefficients, twisted data over any other bundle included,
+    concordance is verification-only and this raises NotImplementedError.
+    Endpoints that fail their own verification, or that
+    linear_concordance cannot join, raise ValueError.
     """
-    for which, f in (("f0", f0), ("f1", f1)):
-        rep = _verify_datum(f)
-        if not rep.passed:
-            raise ValueError("endpoint %s fails verification: %r"
-                             % (which, rep))
     try:
         ccd = linear_concordance(f0, f1, polybound=polybound)
     except NotConcordant:

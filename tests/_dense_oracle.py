@@ -6,6 +6,10 @@ short enough to check by eye.  Tests compare the sparse kernel against it
 and use it wherever they need a rank that does not come from the code
 under test.  Pivots are the first nonzero column, scanning rows top to
 bottom; vectors are lists of Fraction and matrices are lists of rows.
+
+twisted_cylinder_solvable is the oracle for deciding the h3-twisted
+family: it writes the straight cylinder's equations level by level, with
+twisted_d on single monomials, and solves them densely.
 """
 
 from fractions import Fraction
@@ -164,3 +168,36 @@ def intersect_with_coordinate_subspace(vectors, allowed, ncols):
                 orig[c] = row[pos]
             out.append(orig)
     return out
+
+
+def twisted_cylinder_solvable(base, H, kmax, diff):
+    """Does the straight cylinder over twisted_ku_bundle(kmax) exist?
+
+    diff maps each odd k <= 2kmax+1 to F1_k - F0_k, a form on base.  The
+    unknowns are h_0, h_2, ..., h_2kmax with F1_k - F0_k = d h_(k-1)
+    - H h_(k-3) for odd k <= 2kmax+1 and no further.  A monomial m of even
+    degree j <= 2kmax is one unknown; its column is twisted_d(m) = dm - H m
+    cut to degrees <= 2kmax+1, so dm enters equation j+1 and -H m
+    equation j+3.  Returns whether dense elimination solves the system.
+    """
+    from ratho.core_algebra import basis_of_degree
+    from ratho.twisted_derham import TwistedComplex, twisted_d
+
+    gens = base.gens
+    C = TwistedComplex(base, H, period=1)
+    top = 2 * kmax + 1
+    eqs = [m for k in range(1, top + 1, 2) for m in basis_of_degree(gens, k)]
+    pos = {m: i for i, m in enumerate(eqs)}
+    columns = []
+    for j in range(0, top, 2):
+        for m in basis_of_degree(gens, j):
+            col = [ZERO] * len(eqs)
+            for e, c in twisted_d(C, gens.from_exponents(m)).terms.items():
+                if gens.monomial_degree(e) <= top:
+                    col[pos[e]] += c
+            columns.append(col)
+    rhs = [ZERO] * len(eqs)
+    for p in diff.values():
+        for e, c in p.terms.items():
+            rhs[pos[e]] += c
+    return solve(columns, rhs) is not None

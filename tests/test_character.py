@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _dense_oracle as oracle
 from ratho.character import (
     ConcordanceDatum,
     FlatFormDatum,
@@ -23,7 +25,7 @@ from ratho.character import (
     verify_twisted_flat,
 )
 from ratho.cli import corpus
-from ratho.core_algebra import AlgebraMorphism
+from ratho.core_algebra import AlgebraMorphism, basis_of_degree
 from ratho.dgca import DGCA, check_d_squared
 from ratho.linfty import brackets_from_ce, ce_from_brackets
 from ratho.minimal_model import RelativeExtension, cofiber
@@ -574,16 +576,70 @@ def test_decide_concordance_refuses_the_twistorial_preset(which):
 
 
 def test_decide_concordance_checks_the_difference_before_searching():
-    # both endpoints are flat, but on T^4 the difference x3 of the level-1
-    # forms is not twisted-closed: H*x3 is the volume form
+    # both endpoints are flat and the cylinder at kmax = 0 asks only
+    # F1 - F0 = d h0 in degree 1; H*x3, the volume form, is no equation of
+    # it.  x3 is closed and not exact, so the data are not concordant
     T4 = DGCA([("x%d" % i, 1) for i in range(4)])
     H = T4.monomial({"x0": 1, "x1": 1, "x2": 1})
     bundle = twisted_ku_bundle(0)
     f0 = _h3_datum(bundle, T4, H, {"f1": T4.zero()})
     f1 = _h3_datum(bundle, T4, H, {"f1": T4.gen("x3")})
-    with pytest.raises(ValueError, match="closed") as err:
-        decide_concordance(f0, f1)
+    assert decide_concordance(f0, f1) is None
+    # the precondition stays: a non-flat endpoint is refused before any
+    # search, as a ValueError that is not a verdict.  At kmax = 1, F3 = 0
+    # breaks d F3 = H F1 for F1 = x3
+    bundle = twisted_ku_bundle(1)
+    g0 = _h3_datum(bundle, T4, H, {"f1": T4.zero(), "f3": T4.zero()})
+    bad = _h3_datum(bundle, T4, H, {"f1": T4.gen("x3"), "f3": T4.zero()})
+    with pytest.raises(ValueError, match=r"endpoint f1 .*chain=\['f3'\]") \
+            as err:
+        linear_concordance(g0, bad)
     assert not isinstance(err.value, NotConcordant)
+
+
+def test_decide_concordance_needs_the_cylinder_equation_only_to_2kmax_1():
+    # the cylinder f3 -> t*xpq + dt*sq asks d(sq) = xpq in degree 3 and
+    # nothing in degree 5, where H*sq has no primitive
+    T = DGCA([(n, 1) for n in "xyzpqrs"])
+    T = DGCA(T.gens, d={"s": T.gen("x") * T.gen("p")})
+    H = T.monomial({"x": 1, "y": 1, "z": 1})
+    bundle = twisted_ku_bundle(1)
+    f0 = _h3_datum(bundle, T, H, {"f1": T.zero(), "f3": T.zero()})
+    xpq = T.gen("x") * T.gen("p") * T.gen("q")
+    f1 = _h3_datum(bundle, T, H, {"f1": T.zero(), "f3": xpq})
+    ccd = decide_concordance(f0, f1)
+    assert ccd is not None and verify_concordance(ccd).passed
+    h = fiber_integrate(ccd.cylinder, ccd.image("f3"))
+    assert h == T.gen("s") * T.gen("q")
+    assert decide_concordance(f1, f0) is not None
+
+
+def test_decide_concordance_h3_family_on_a_target_named_like_u():
+    # the degree-2 generator of the family's algebra takes a free name
+    T = DGCA([("u0", 1), ("u1", 1), ("u2", 1)])
+    H = T.monomial({"u0": 1, "u1": 1, "u2": 1})
+    bundle = twisted_ku_bundle(1)
+    f0 = _h3_datum(bundle, T, H, {"f1": T.zero(), "f3": T.zero()})
+    f1 = _h3_datum(bundle, T, H, {"f1": T.zero(), "f3": 2 * H})
+    ccd = decide_concordance(f0, f1)
+    assert ccd is not None and verify_concordance(ccd).passed
+    assert fiber_integrate(ccd.cylinder, ccd.image("f1")) == -2 * T.one()
+
+
+def test_decide_concordance_with_zero_twist():
+    t3 = corpus.algebra("t3")
+    bundle = twisted_ku_bundle(1)
+    zero = t3.zero()
+    x = t3.gen("x")
+    f0 = _h3_datum(bundle, t3, zero, {"f1": zero, "f3": zero})
+    f1 = _h3_datum(bundle, t3, zero, {"f1": x, "f3": zero})
+    assert decide_concordance(f0, f1) is None
+    ccd = decide_concordance(f1, _h3_datum(bundle, t3, zero,
+                                           {"f1": x, "f3": zero}))
+    assert ccd is not None and verify_concordance(ccd).passed
+    res = twisted_ku_quotient(t3, zero, (0, 1), kmax=1)
+    assert (res.class_count, res.concordances, res.refusals) == (16, 0, 120)
+    assert res.complex.period == 1 and res.complex.twist.is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -601,6 +657,64 @@ def test_decide_concordance_cofiber_lattice(a0, b0, a1, b1):
         assert out is not None
     else:
         assert out is None
+
+
+def _torus_twist(n, which):
+    T = DGCA([("x%d" % i, 1) for i in range(n)])
+    g = T.gens.names
+    if which == 0:
+        return T, T.zero()
+    H = T.monomial(dict.fromkeys(g[:3], 1))
+    if which == 2:
+        H = H + T.monomial(dict.fromkeys(g[-3:], 1))
+    return T, H
+
+
+def _random_form(rng, T, forms):
+    return sum((rng.choice((-1, 0, 0, 1)) * p for p in forms), T.zero())
+
+
+def _monomials(T, k):
+    return [T.gens.from_exponents(m) for m in basis_of_degree(T.gens, k)]
+
+
+def _annihilated(T, H, k):
+    """A basis of the degree-k forms w with H*w = 0, dense oracle."""
+    basis = _monomials(T, k)
+    up = basis_of_degree(T.gens, k + 3)
+    if not up:
+        return basis
+    cols = [[(H * w).terms.get(m, Fraction(0)) for m in up] for w in basis]
+    kernel = oracle.nullspace([list(r) for r in zip(*cols)], len(basis))
+    return [sum((c * w for c, w in zip(v, basis)), T.zero())
+            for v in kernel]
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_decide_concordance_matches_the_twisted_cylinder_oracle(seed):
+    # flat data on T^4..T^6: d = 0, so flatness is H*F_k = 0 below the top
+    # level.  F1 moves F0 by a cylinder image -H h_(k-3) and, half of the
+    # time, by a random flat difference besides
+    rng = random.Random(seed)
+    T, H = _torus_twist(rng.choice((4, 5, 6)), rng.choice((0, 1, 2)))
+    kmax = rng.choice((0, 1, 2))
+    bundle = twisted_ku_bundle(kmax)
+    levels = list(range(1, 2 * kmax + 2, 2))
+    allowed = {k: _annihilated(T, H, k) if k < levels[-1] else
+               _monomials(T, k) for k in levels}
+    F0 = {k: _random_form(rng, T, allowed[k]) for k in levels}
+    h = {k: _random_form(rng, T, _monomials(T, k - 1)) for k in levels}
+    F1 = {k: F0[k] - (H * h[k - 2] if k > 1 else T.zero()) for k in levels}
+    if rng.random() < 0.5:
+        F1 = {k: F1[k] + _random_form(rng, T, allowed[k]) for k in levels}
+    f0, f1 = (_h3_datum(bundle, T, H, {"f%d" % k: F[k] for k in levels})
+              for F in (F0, F1))
+    expected = oracle.twisted_cylinder_solvable(
+        T, H, kmax, {k: F1[k] - F0[k] for k in levels})
+    ccd = decide_concordance(f0, f1)
+    assert (ccd is not None) == expected
+    if ccd is not None:
+        assert verify_concordance(ccd).passed
 
 
 def test_preset_twistorial_full_verification():

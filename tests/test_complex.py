@@ -277,13 +277,19 @@ def test_twisted_ku_quotient_keys_match_dense_oracle():
         ech.add(v)
     res = twisted_ku_quotient(omega, H, (-1, 0, 1))
     assert res.class_count == 27
+    # keys live in the family's own algebra, so compare partitions: two
+    # data share a key exactly when their oracle residues agree
+    residue = {}
     for key, members in res.classes.items():
         for datum in members:
             total = omega.zero()
             for name in datum.bundle.new_names:
                 total = total + datum.image(name)
             (vec,) = _rows([total], list(odd))
-            assert tuple(ech.reduce(vec)) == key
+            residue[id(datum)] = (key, tuple(ech.reduce(vec)))
+    pairs = list(residue.values())
+    assert len({k for k, _ in pairs}) == len({r for _, r in pairs}) == 27
+    assert len(set(pairs)) == 27
 
 
 def _count_bases(monkeypatch):

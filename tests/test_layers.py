@@ -5,6 +5,11 @@ for code no test runs.  Elimination reaches the rest of ratho only through
 Complex (homology, image, primitive, class_key), and the echelon of
 boundaries stays private to it.
 
+Concordance has one decision route: the residue complex of twisted de
+Rham cohomology (_residues, _twisted_row) stays inside twisted_derham.py,
+and a decidable family (character._Family) carries no differential of its
+own: witnesses are checked with apply_d on the family's algebra.
+
 The layers perfbench/tracer.py wraps must exist too: each LAYERS path
 resolves to a function the way Tracer.install looks it up, so removing or
 renaming a traced function fails here, not only in a traced bench run.
@@ -49,6 +54,36 @@ def test_only_complex_uses_linalg(path):
     assert not importers, "%s imports _linalg at lines %s" % (path, importers)
     calls = [n.lineno for n in nodes if _calls_echelon(n)]
     assert not calls, "%s calls .echelon( at lines %s" % (path, calls)
+
+
+_TWISTED_ONLY = ("_residues", "_twisted_row")
+
+
+def _names(tree):
+    """(line, name) of every identifier, attribute and imported name."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.lineno, n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.lineno, n.attr
+        elif isinstance(n, ast.alias):
+            yield n.lineno, n.name.split(".")[-1]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_only_twisted_derham_uses_the_residue_complex(path):
+    if path.name == "twisted_derham.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    uses = [(line, name) for line, name in _names(tree)
+            if name in _TWISTED_ONLY]
+    assert not uses, "%s references %s" % (path, uses)
+
+
+def test_families_carry_no_differential():
+    from ratho import character
+    assert "d" not in character._Family._fields
 
 
 def test_every_module_is_checked():
