@@ -35,6 +35,7 @@ states how far the form-side derivative falls short of what the
 coefficients demand.
 """
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -324,8 +325,8 @@ def _lift(family, image):
     return Polynomial(family.algebra.gens, terms)
 
 
-def _straight_concordance(f0, f1, family, witness=None):
-    """The straight cylinder from f0 to f1, with dt times a witness.
+def _straight_concordance(f0, f1, family, cyl, witness=None):
+    """The straight cylinder from f0 to f1 on cyl, with dt times a witness.
 
     F0 and F1 lift the endpoints' images into the family's algebra B, and
     the witness h has d(h) = F1 - F0 there: a given one (each g lifts its
@@ -333,7 +334,8 @@ def _straight_concordance(f0, f1, family, witness=None):
     and otherwise a primitive in _slices(B); where there is none, no
     concordance exists.  Each named generator g takes its part of h after
     dt, read back through its weight; each base generator of f0's bundle
-    maps to the constant inclusion of its image under f0's twist.
+    maps to the constant inclusion of its image under f0's twist.  cyl,
+    the CylinderAlgebra over f0's target, is the caller's to reuse.
     """
     zero, degree_of = f0.target.zero(), f0.coefficients.gens.degree_of
     diff = _lift(family, f1.image) - _lift(family, f0.image)
@@ -348,7 +350,6 @@ def _straight_concordance(f0, f1, family, witness=None):
         witness = _lift(family, lambda n: parts.get(degree_of(n) - 1, zero))
         if apply_d(family.algebra, witness) != diff:
             raise ValueError("dh does not equal the endpoint difference")
-    cyl = CylinderAlgebra(f0.target)
     t = cyl.algebra.gen(cyl.t_name)
     dt = cyl.algebra.gen(cyl.dt_name)
     assignment = {}
@@ -390,7 +391,8 @@ def linear_concordance(f0, f1, h=None, polybound=None):
         raise ValueError("endpoints have different targets")
     if f0.twist is not None and f0.twist.morphism != f1.twist.morphism:
         raise ValueError("endpoints have different twists")
-    return _straight_concordance(f0, f1, _family(f0, polybound), h)
+    return _straight_concordance(f0, f1, _family(f0, polybound),
+                                 CylinderAlgebra(f0.target), h)
 
 
 def _certify_classes(classes, family):
@@ -398,20 +400,24 @@ def _certify_classes(classes, family):
 
     classes maps a class key to its member data, all of one family
     (_family); a datum's form is its lift into the family's algebra B.
-    Within a class the straight cylinder joins each member to the first;
-    it is verified and its fiber-integrated witness, lifted into B, is
-    re-checked with apply_d against the difference of forms.  Across
+    On one CylinderAlgebra, the straight cylinder joins each member of a
+    class to the first, and the first to itself (the constant one); each
+    is verified, and each witness integrated off a cylinder between two
+    members is lifted into B and re-checked with apply_d.  Across
     classes, the differences of first members must have no primitive in
     _slices(B): all pairs up to 16 classes, else a chain and a star.
     Returns (concordances, refusals).
     """
     concordances = refusals = 0
+    cyl = None
     for members in classes.values():
         d0 = members[0]
-        if not verify_concordance(constant_concordance(d0)).passed:
+        cyl = cyl or CylinderAlgebra(d0.target)
+        if not verify_concordance(
+                _straight_concordance(d0, d0, family, cyl)).passed:
             raise RuntimeError("constant concordance failed verification")
         for d1 in members[1:]:
-            ccd = _straight_concordance(d0, d1, family)
+            ccd = _straight_concordance(d0, d1, family, cyl)
             if not verify_concordance(ccd).passed:
                 raise RuntimeError("straight concordance failed verification")
             h = _lift(family, lambda n: fiber_integrate(ccd.cylinder,
@@ -447,6 +453,7 @@ class QuotientResult:
     result carries h_dim, the cohomology dimension; a twisted one carries
     complex, the H-twisted complex (period 1) where each rep, a member's
     summed odd forms, is a class; keys come from _family, not complex.
+    complex_ builds it when first read, so only then can it raise.
     """
 
     def __init__(self, classes, reps, concordances, refusals, h_dim=None,
@@ -456,7 +463,11 @@ class QuotientResult:
         self.concordances = concordances
         self.refusals = refusals
         self.h_dim = h_dim
-        self.complex = complex_
+        self._complex = complex_
+
+    @functools.cached_property
+    def complex(self):
+        return None if self._complex is None else self._complex()
 
     @property
     def class_count(self):
@@ -542,9 +553,10 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     lifted difference is refuted.
     """
     lattice = [Fraction(v) for v in lattice]
-    C = TwistedComplex(omega, twist_form, period=1)
     bundle = twisted_ku_bundle(kmax)
     twist = FlatFormDatum(bundle.base, omega, {"h3": twist_form})
+    if not verify_flat(twist).passed:
+        raise ValueError("twist must be closed")
     family = _family(TwistedFlatFormDatum(bundle, twist, {
         "h3": twist_form, **dict.fromkeys(bundle.new_names, omega.zero())}))
     slices = _slices(omega, None)
@@ -579,7 +591,8 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     concordances, refusals = _certify_classes(classes, family)
     reps = [sum(map(members[0].image, family.names), omega.zero())
             for members in classes.values()]
-    return QuotientResult(classes, reps, concordances, refusals, complex_=C)
+    return QuotientResult(classes, reps, concordances, refusals, complex_=(
+        lambda: TwistedComplex(omega, twist_form, period=1)))
 
 
 def decide_concordance(f0, f1, polybound=None):

@@ -12,6 +12,10 @@ active in the right factor, odd generator j > i active in the left one).
 This realizes graded commutativity a*b = (-1)^{|a||b|} b*a.
 normalize_product walks the odd generators right to left, adding for each
 odd factor of the right monomial the odd factors of the left one above it.
+It is the one sign rule.  Sums, products and morphism images run on term
+dicts {monomial: Fraction} (_add_terms, _mul_terms), which delete a term
+as soon as it cancels: their output has no zero coefficient, and
+_trusted wraps it without filtering again.
 
 No floating point anywhere: coefficients are fractions.Fraction.
 """
@@ -147,6 +151,50 @@ def normalize_product(gens, m1, m2):
     return (-1 if inv & 1 else 1, tuple(map(add, m1, m2)))
 
 
+def _add_terms(t1, t2, sign):
+    """Add sign * t2 into the term dict t1, deleting cancelled terms."""
+    for m, c in t2.items():
+        s = t1.get(m)
+        if s is None:
+            t1[m] = c if sign > 0 else -c
+        else:
+            s = s + c if sign > 0 else s - c
+            if s:
+                t1[m] = s
+            else:
+                del t1[m]
+    return t1
+
+
+def _mul_terms(gens, t1, t2):
+    """Product of two term dicts, Koszul signs from normalize_product."""
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            r = normalize_product(gens, m1, m2)
+            if r is None:
+                continue
+            sign, m = r
+            c = c1 * c2
+            s = out.get(m)
+            if s is None:
+                out[m] = c if sign > 0 else -c
+            else:
+                s = s + c if sign > 0 else s - c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
+
+
+def _trusted(gens, terms):
+    """A Polynomial on terms already free of zero coefficients."""
+    p = Polynomial.__new__(Polynomial)
+    p.gens, p.terms = gens, terms
+    return p
+
+
 class Polynomial:
     """Exact-rational linear combination of canonical monomials.
 
@@ -163,15 +211,8 @@ class Polynomial:
     # -- ring structure --------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.gens, out)
+        terms = _add_terms(dict(self.terms), self._coerce(other).terms, 1)
+        return _trusted(self.gens, terms)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -180,7 +221,8 @@ class Polynomial:
         return Polynomial(self.gens, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self.__add__(self._coerce(other).__neg__())
+        terms = _add_terms(dict(self.terms), self._coerce(other).terms, -1)
+        return _trusted(self.gens, terms)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -191,19 +233,8 @@ class Polynomial:
             return Polynomial(self.gens,
                               {m: c * v for m, v in self.terms.items()})
         other = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                r = normalize_product(self.gens, m1, m2)
-                if r is None:
-                    continue
-                sign, m = r
-                s = out.get(m, Fraction(0)) + sign * c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.gens, out)
+        return _trusted(self.gens,
+                        _mul_terms(self.gens, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -403,20 +434,26 @@ def apply_morphism(phi, p):
     tgens = gens_of(phi.target)
     if p.gens != sgens:
         raise GeneratorSetMismatch("polynomial not over the morphism source")
-    out = tgens.zero()
+    unit = (0,) * len(tgens)
+    powers = {}  # (i, e) -> terms of g_i^e, each built once per call
+    out = {}
     for m, c in p.terms.items():
-        img = tgens.constant(c)
+        img = {unit: c}
         # factors in canonical order; Koszul signs handled by the product
         for i, e in enumerate(m):
             if e == 0:
                 continue
-            g = phi.assignment[sgens.names[i]]
-            for _ in range(e):
-                img = img * g
-            if img.is_zero():
+            g = powers.get((i, e))
+            if g is None:
+                g = base = phi.assignment[sgens.names[i]].terms
+                for _ in range(e - 1):
+                    g = _mul_terms(tgens, g, base)
+                powers[(i, e)] = g
+            img = _mul_terms(tgens, img, g)
+            if not img:
                 break
-        out = out + img
-    return out
+        _add_terms(out, img, 1)
+    return _trusted(tgens, out)
 
 
 def morphism_by_names(source, target, overrides=None):

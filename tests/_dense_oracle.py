@@ -178,14 +178,16 @@ def twisted_cylinder_solvable(base, H, kmax, diff):
     - H h_(k-3) for odd k <= 2kmax+1 and no further.  A monomial m of even
     degree j <= 2kmax is one unknown; its column is twisted_d(m) = dm - H m
     cut to degrees <= 2kmax+1, so dm enters equation j+1 and -H m
-    equation j+3.  Returns whether dense elimination solves the system.
+    equation j+3.  The twisted complex is truncated at 2kmax+1, where
+    the equations stop, so bases with even generators are covered too.
+    Returns whether dense elimination solves the system.
     """
     from ratho.core_algebra import basis_of_degree
     from ratho.twisted_derham import TwistedComplex, twisted_d
 
     gens = base.gens
-    C = TwistedComplex(base, H, period=1)
     top = 2 * kmax + 1
+    C = TwistedComplex(base, H, period=1, truncation=top)
     eqs = [m for k in range(1, top + 1, 2) for m in basis_of_degree(gens, k)]
     pos = {m: i for i, m in enumerate(eqs)}
     columns = []

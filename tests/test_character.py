@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _dense_oracle as oracle
+from ratho import character
 from ratho.character import (
     ConcordanceDatum,
     FlatFormDatum,
@@ -29,7 +30,8 @@ from ratho.core_algebra import AlgebraMorphism, basis_of_degree
 from ratho.dgca import DGCA, check_d_squared
 from ratho.linfty import brackets_from_ce, ce_from_brackets
 from ratho.minimal_model import RelativeExtension, cofiber
-from ratho.simplicial_forms import SimplexAlgebra, fiber_integrate
+from ratho.simplicial_forms import (CylinderAlgebra, SimplexAlgebra,
+                                   fiber_integrate)
 from ratho.twisted_derham import (
     TwistedComplex,
     twisted_cohomology,
@@ -446,6 +448,65 @@ def test_twisted_ku_quotient_solves_each_level_one_degree_up():
     H = T4.monomial({"x0": 1, "x1": 1, "x2": 1})
     with pytest.raises(ValueError, match="no flat extension at level 3"):
         twisted_ku_quotient(T4, H, (0, 1), kmax=1)
+
+
+def test_twisted_ku_quotient_decides_targets_with_even_generators():
+    # TwistedComplex needs a truncation on this target and the decision
+    # does not, so the result's complex is built, and refused, when read
+    T = DGCA([("x", 1), ("y", 1), ("z", 1), ("b", 2)])
+    H = T.monomial({"x": 1, "y": 1, "z": 1})
+    res = twisted_ku_quotient(T, H, (0, 1), kmax=1)
+    assert (res.class_count, res.concordances, res.refusals) == (64, 64, 125)
+    with pytest.raises(ValueError, match="need a total-degree truncation"):
+        res.complex
+    data = [(key, d) for key, members in res.classes.items() for d in members]
+    rng = random.Random(17)
+    pairs = [list(members) for members in res.classes.values()]
+    pairs += [[d for _, d in rng.sample(data, 2)] for _ in range(40)]
+    key_of = {id(d): key for key, d in data}
+    for d0, d1 in pairs:
+        diff = {k: d1.image("f%d" % k) - d0.image("f%d" % k) for k in (1, 3)}
+        assert oracle.twisted_cylinder_solvable(T, H, 1, diff) == \
+            (key_of[id(d0)] == key_of[id(d1)])
+
+
+def _benchmark_quotient(which):
+    """line_quotient on T^5 at n = 0 or twisted_ku_quotient on t3, kmax 4."""
+    if which == "line_T5":
+        T5 = DGCA([("x%d" % i, 1) for i in range(5)])
+        return T5, lambda: line_quotient(T5, 0, (-1, 0, 1))
+    t3 = corpus.algebra("t3")
+    xyz = t3.monomial({"x": 1, "y": 1, "z": 1})
+    return t3, lambda: twisted_ku_quotient(t3, xyz, (-1, 0, 1), kmax=4)
+
+
+@pytest.mark.parametrize("which", ["line_T5", "twisted_t3"])
+def test_reflexive_straight_cylinder_is_the_constant_concordance(which):
+    omega, run = _benchmark_quotient(which)
+    res = run()
+    reps = [members[0] for members in res.classes.values()]
+    if which == "line_T5":
+        reps = [line_datum(omega, 0, p) for p in reps]
+    family, cyl = character._family(reps[0]), CylinderAlgebra(omega)
+    for d0 in reps:
+        ccd = character._straight_concordance(d0, d0, family, cyl)
+        assert ccd.morphism == constant_concordance(d0).morphism
+        assert verify_concordance(ccd).passed
+
+
+@pytest.mark.parametrize("which", ["line_T5", "twisted_t3"])
+def test_each_quotient_builds_one_cylinder(monkeypatch, which):
+    built = []
+
+    def counting(base):
+        built.append(base)
+        return CylinderAlgebra(base)
+
+    omega, run = _benchmark_quotient(which)
+    monkeypatch.setattr(character, "CylinderAlgebra", counting)
+    res = run()
+    assert res.class_count == {"line_T5": 243, "twisted_t3": 27}[which]
+    assert len(built) == 1 and built[0] is omega
 
 
 def test_decide_concordance_dispatch():

@@ -1,11 +1,11 @@
 """The polynomial layer's fast paths against the kernels they replaced.
 
-_poly_oracle holds the earlier normalize_product, apply_d and matrix-power
-chern_character.  The earlier apply_d also checks the rows of d that
-_slices builds per monomial.  Random algebras mix odd, even and degree-0
-generators, and random monomials carry odd exponents up to 1 and even ones
-up to 2, so every Koszul sign case and every vanishing odd square is
-reached.  The
+_poly_oracle holds the earlier normalize_product, apply_d, Polynomial sum,
+difference and product, apply_morphism and matrix-power chern_character.
+The earlier apply_d also checks the rows of d that _slices builds per
+monomial.  Random algebras mix odd, even and degree-0 generators, and
+random monomials carry odd exponents up to 1 and even ones up to 2, so
+every Koszul sign case and every vanishing odd square is reached.  The
 Chern character is checked against traces of matrix powers, which do not
 go through the Chern forms it is now read from.
 """
@@ -15,7 +15,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ratho.chern_weil import CurvatureMatrix, chern_character
-from ratho.core_algebra import (GeneratorSet, Polynomial, basis_of_degree,
+from ratho.core_algebra import (AlgebraMorphism, GeneratorSet, Polynomial,
+                                apply_morphism, basis_of_degree,
                                 normalize_product)
 from ratho.dgca import DGCA, _slices, apply_d
 
@@ -79,6 +80,62 @@ def test_slices_rows_match_oracle(data):
     cx = _slices(A, 2)
     for m in cx.basis(n):
         assert cx._d(m) == oracle.apply_d(A, A.gens.from_exponents(m)).terms
+
+
+def _assert_same(out, expected):
+    assert out.gens == expected.gens
+    assert out.terms == expected.terms
+    assert all(out.terms.values()), "kernel output kept a zero coefficient"
+
+
+@st.composite
+def _pair(draw):
+    """Two polynomials over one set, q often cancelling terms of p."""
+    gens = draw(_generators())
+    p = draw(_polynomial(gens))
+    q = draw(st.one_of(_polynomial(gens), st.just(p), st.just(-p),
+                       _polynomial(gens).map(lambda r: r - p)))
+    return p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair())
+def test_sum_and_difference_match_oracle(pq):
+    p, q = pq
+    _assert_same(p + q, oracle.add(p, q))
+    _assert_same(p - q, oracle.sub(p, q))
+    _assert_same(q - p, oracle.sub(q, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair())
+def test_product_matches_oracle(pq):
+    p, q = pq
+    _assert_same(p * q, oracle.mul(p, q))
+    _assert_same(q * p, oracle.mul(q, p))
+
+
+@st.composite
+def _morphism(draw):
+    """A homogeneous morphism between two random generator sets."""
+    source, target = draw(_generators()), draw(_generators())
+    assignment = {}
+    for name, degree in zip(source.names, source.degrees):
+        # polybound 2 keeps the slice finite when degree-0 generators exist
+        basis = basis_of_degree(target, degree, 2)
+        picked = draw(st.lists(st.sampled_from(basis), min_size=1,
+                               max_size=4)) if basis else []
+        assignment[name] = Polynomial(target, {
+            m: Fraction(draw(_COEFFS.filter(bool))) for m in picked})
+    return AlgebraMorphism(source, target, assignment)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_apply_morphism_matches_oracle(data):
+    phi = data.draw(_morphism())
+    p = data.draw(_polynomial(phi.source))
+    _assert_same(apply_morphism(phi, p), oracle.apply_morphism(phi, p))
 
 
 _CHERN_GENS = GeneratorSet([("u", 2), ("v", 2), ("a", 1), ("b", 1)])
