@@ -29,12 +29,20 @@ _slices(B) searches one.  A witness found gives the concordance; none
 found refutes it.  Other coefficients, twisted data over other bundles
 included, are verification-only.
 
+The lattice quotients of both families (line_quotient, twisted_ku_quotient)
+are one level loop, _lattice_classes: from the family's zero datum each
+generator g takes a particular solution of the coefficients' own
+d F(g) = F(dg) plus lattice combinations of cocycles, each datum is keyed
+by the class of its lift, and it is verified where the grouping is
+certified, as an endpoint of a verified straight cylinder.
+
 Residuals in every report follow one convention, is_chain_map's: image of
 the source differential minus differential of the image, so a residual
 states how far the form-side derivative falls short of what the
 coefficients demand.
 """
 
+import copy
 import functools
 import itertools
 import math
@@ -395,53 +403,6 @@ def linear_concordance(f0, f1, h=None, polybound=None):
                                  CylinderAlgebra(f0.target), h)
 
 
-def _certify_classes(classes, family):
-    """Certify a grouping of flat data into concordance classes, both ways.
-
-    classes maps a class key to its member data, all of one family
-    (_family); a datum's form is its lift into the family's algebra B.
-    On one CylinderAlgebra, the straight cylinder joins each member of a
-    class to the first, and the first to itself (the constant one); each
-    is verified, and each witness integrated off a cylinder between two
-    members is lifted into B and re-checked with apply_d.  Across
-    classes, the differences of first members must have no primitive in
-    _slices(B): all pairs up to 16 classes, else a chain and a star.
-    Returns (concordances, refusals).
-    """
-    concordances = refusals = 0
-    cyl = None
-    for members in classes.values():
-        d0 = members[0]
-        cyl = cyl or CylinderAlgebra(d0.target)
-        if not verify_concordance(
-                _straight_concordance(d0, d0, family, cyl)).passed:
-            raise RuntimeError("constant concordance failed verification")
-        for d1 in members[1:]:
-            ccd = _straight_concordance(d0, d1, family, cyl)
-            if not verify_concordance(ccd).passed:
-                raise RuntimeError("straight concordance failed verification")
-            h = _lift(family, lambda n: fiber_integrate(ccd.cylinder,
-                                                        ccd.image(n)))
-            if apply_d(family.algebra, h) != (_lift(family, d1.image)
-                                              - _lift(family, d0.image)):
-                raise RuntimeError("extracted witness does not integrate "
-                                   "the endpoint difference")
-            concordances += 1
-    reps = [_lift(family, members[0].image) for members in classes.values()]
-    if len(reps) <= 16:
-        pairs = list(itertools.combinations(range(len(reps)), 2))
-    else:
-        pairs = [(i, i + 1) for i in range(len(reps) - 1)]
-        pairs += [(0, i) for i in range(2, len(reps))]
-    for i, j in pairs:
-        if family.complex.primitive(family.grade,
-                                    reps[j] - reps[i]) is not None:
-            raise RuntimeError("distinct classes had a difference with a "
-                               "primitive")
-        refusals += 1
-    return concordances, refusals
-
-
 class QuotientResult:
     """Concordance classes of lattice data, certified both ways.
 
@@ -478,6 +439,83 @@ class QuotientResult:
                 % (self.class_count, self.concordances, self.refusals))
 
 
+def _lattice_classes(zero, lattice, polybound=None):
+    """Concordance classes of the lattice data grown from zero, certified.
+
+    zero, a datum of a decidable family (_family) sending its names to 0,
+    seeds the level loop: with F the partial datum, a name g of degree k
+    takes a primitive of F(dg) in _slices(target), or 0 when F(dg) = 0,
+    plus each lattice combination of the degree-k cocycles; a datum's key
+    is the class of its lift into B.  On one CylinderAlgebra the straight
+    cylinder joins the first member of each class to itself and to each
+    later member; verify_concordance checks each, endpoints included, and
+    that is where every datum is verified.  Each witness integrated off one
+    is lifted into B and re-checked with apply_d.  Across classes,
+    differences of first members must have no primitive in _slices(B): all
+    pairs up to 16 classes, else a chain and a star.  Returns (family,
+    classes, concordances, refusals); classes hold member data in creation
+    order.
+    """
+    family = _family(zero, polybound)
+    lattice = [Fraction(v) for v in lattice]
+    coefficients, target = zero.coefficients, zero.target
+    slices = _slices(target, polybound)
+    partial = [zero.morphism.assignment]
+    for g in family.names:
+        k, dg = coefficients.gens.degree_of(g), coefficients.d[g]
+        closed = slices.kernel(k)
+        grown = []
+        for images in partial:
+            source = target.zero() if dg.is_zero() else apply_morphism(
+                AlgebraMorphism(coefficients, target, images), dg)
+            particular = source if source.is_zero() else slices.primitive(
+                k + 1, source)
+            if particular is None:
+                raise ValueError(
+                    "lattice datum admits no flat extension at level %d" % k)
+            for combo in itertools.product(lattice, repeat=len(closed)):
+                grown.append({**images, g: particular
+                              + slices.combine(k, combo, closed)})
+        partial = grown
+    classes = {}
+    for images in partial:
+        datum = copy.copy(zero)
+        datum.morphism = AlgebraMorphism(coefficients, target, images)
+        key = family.complex.class_key(family.grade,
+                                       _lift(family, datum.image))
+        classes.setdefault(key, []).append(datum)
+    concordances = refusals = 0
+    cyl = CylinderAlgebra(target)
+    for members in classes.values():
+        d0 = members[0]
+        if not verify_concordance(
+                _straight_concordance(d0, d0, family, cyl)).passed:
+            raise RuntimeError("constant concordance failed verification")
+        for d1 in members[1:]:
+            ccd = _straight_concordance(d0, d1, family, cyl)
+            if not verify_concordance(ccd).passed:
+                raise RuntimeError("straight concordance failed verification")
+            h = _lift(family, lambda n: fiber_integrate(cyl, ccd.image(n)))
+            if apply_d(family.algebra, h) != (_lift(family, d1.image)
+                                              - _lift(family, d0.image)):
+                raise RuntimeError("extracted witness does not integrate "
+                                   "the endpoint difference")
+            concordances += 1
+    reps = [_lift(family, members[0].image) for members in classes.values()]
+    if len(reps) <= 16:
+        pairs = list(itertools.combinations(range(len(reps)), 2))
+    else:
+        pairs = [(i, i + 1) for i in range(len(reps) - 1)]
+        pairs += [(0, i) for i in range(2, len(reps))]
+    for i, j in pairs:
+        if family.complex.primitive(family.grade,
+                                    reps[j] - reps[i]) is not None:
+            raise RuntimeError("distinct classes had a difference with a "
+                               "primitive")
+        refusals += 1
+    return family, classes, concordances, refusals
+
+
 # -- line coefficients -------------------------------------------------------
 
 def line_algebra(n):
@@ -496,27 +534,18 @@ def line_datum(omega, n, p):
 def line_quotient(omega, n, lattice, polybound=None):
     """Concordance classes of all lattice-coefficient flat (n+1)-form data.
 
-    Enumerates data F(c) over the lattice span of a cocycle basis in
-    degree n+1 and groups them by cohomology class (canonical echelon
-    residue).  The grouping is certified in both directions: within each
-    class the straight cylinder to the class representative is built,
-    verified, and its fiber-integration witness re-checked against the
-    endpoint difference; across classes exactness of the difference is
-    refuted.  Classes therefore coincide with cohomology classes.
+    The data send the line generator to lattice combinations of a cocycle
+    basis in degree n+1; _lattice_classes keys them by cohomology class
+    and certifies the grouping both ways.  Each class holds its members'
+    forms, and h_dim is dim H^(n+1).
     """
-    lattice = [Fraction(v) for v in lattice]
-    family = _family(line_datum(omega, n, omega.zero()), polybound)
-    cx, k = family.complex, family.grade
-    h = cx.homology(k)
-    classes = {}
-    for combo in itertools.product(lattice, repeat=len(h.kernel)):
-        p = cx.combine(k, combo, h.kernel)
-        classes.setdefault(cx.class_key(k, p), []).append(p)
-    reps = [members[0] for members in classes.values()]
-    data = {key: [line_datum(omega, n, p) for p in members]
-            for key, members in classes.items()}
-    concordances, refusals = _certify_classes(data, family)
-    return QuotientResult(classes, reps, concordances, refusals,
+    family, data, concordances, refusals = _lattice_classes(
+        line_datum(omega, n, omega.zero()), lattice, polybound)
+    classes = {key: [F.image(family.names[0]) for F in members]
+               for key, members in data.items()}
+    h = family.complex.homology(family.grade)
+    return QuotientResult(classes, [m[0] for m in classes.values()],
+                          concordances, refusals,
                           h_dim=len(h.kernel) - len(h.boundaries))
 
 
@@ -543,52 +572,20 @@ def twisted_ku_bundle(kmax):
 def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     """Concordance classes of lattice data in the h3-twisted family.
 
-    Enumerates flat twisted data over omega with twist h3 -> twist_form:
-    level by level, each component solves d F_k = H * F_{k-2} as a
-    particular solution plus a lattice combination of closed forms of
-    degree k.  Data are grouped by the canonical key of their lift into
-    the family's algebra (_family), and the grouping is certified both
-    ways: within a class the straight cylinder is built, verified, and its
-    fiber-integration witness re-checked; across classes exactness of the
-    lifted difference is refuted.
+    The data have twist h3 -> twist_form, which must be closed.  Through
+    _lattice_classes each F(f_k) solves the bundle's own
+    d f_k = h3 f_(k-2) up to lattice combinations of closed forms, and the
+    keys are classes of the lift into _family's algebra.  Each rep is a
+    member's summed odd forms.
     """
-    lattice = [Fraction(v) for v in lattice]
     bundle = twisted_ku_bundle(kmax)
     twist = FlatFormDatum(bundle.base, omega, {"h3": twist_form})
     if not verify_flat(twist).passed:
         raise ValueError("twist must be closed")
-    family = _family(TwistedFlatFormDatum(bundle, twist, {
-        "h3": twist_form, **dict.fromkeys(bundle.new_names, omega.zero())}))
-    slices = _slices(omega, None)
-    partial = [{}]
-    for name in bundle.new_names:
-        deg = bundle.total.gens.degree_of(name)
-        closed = slices.kernel(deg)
-        grown = []
-        for images in partial:
-            particular = omega.zero()
-            if deg > 1:
-                source = twist_form * images["f%d" % (deg - 2)]
-                if not source.is_zero():
-                    particular = slices.primitive(deg + 1, source)
-            if particular is None:
-                raise ValueError(
-                    "lattice datum admits no flat extension at level %d"
-                    % deg)
-            for combo in itertools.product(lattice, repeat=len(closed)):
-                grown.append({**images, name: particular + slices.combine(
-                    deg, combo, closed)})
-        partial = grown
-    classes = {}
-    for images in partial:
-        datum = TwistedFlatFormDatum(bundle, twist,
-                                     {**images, "h3": twist_form})
-        if not verify_twisted_flat(datum).passed:
-            raise RuntimeError("enumerated datum failed verification")
-        key = family.complex.class_key(family.grade,
-                                       _lift(family, datum.image))
-        classes.setdefault(key, []).append(datum)
-    concordances, refusals = _certify_classes(classes, family)
+    family, classes, concordances, refusals = _lattice_classes(
+        TwistedFlatFormDatum(bundle, twist, {
+            "h3": twist_form,
+            **dict.fromkeys(bundle.new_names, omega.zero())}), lattice)
     reps = [sum(map(members[0].image, family.names), omega.zero())
             for members in classes.values()]
     return QuotientResult(classes, reps, concordances, refusals, complex_=(

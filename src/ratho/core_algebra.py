@@ -242,10 +242,10 @@ class Polynomial:
         return self._coerce(other).__mul__(self)
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent %r is not a nonnegative integer" % (k,))
         out = self.gens.one()
-        for _ in range(int(k)):
+        for _ in range(k):
             out = out * self
         return out
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _dense_oracle as oracle
+import _quotient_oracle as quotient_oracle
 from ratho import character
 from ratho.character import (
     ConcordanceDatum,
@@ -450,6 +451,13 @@ def test_twisted_ku_quotient_solves_each_level_one_degree_up():
         twisted_ku_quotient(T4, H, (0, 1), kmax=1)
 
 
+def test_twisted_ku_quotient_refuses_a_twist_that_is_not_closed():
+    A = DGCA([("x", 1), ("y", 2)])
+    A = DGCA(A.gens, {"x": A.gen("y")})
+    with pytest.raises(ValueError, match="twist must be closed"):
+        twisted_ku_quotient(A, A.gen("x") * A.gen("y"), (0, 1), kmax=1)
+
+
 def test_twisted_ku_quotient_decides_targets_with_even_generators():
     # TwistedComplex needs a truncation on this target and the decision
     # does not, so the result's complex is built, and refused, when read
@@ -507,6 +515,85 @@ def test_each_quotient_builds_one_cylinder(monkeypatch, which):
     res = run()
     assert res.class_count == {"line_T5": 243, "twisted_t3": 27}[which]
     assert len(built) == 1 and built[0] is omega
+
+
+def _outcome(run):
+    """run()'s value, or the type and message of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_line_quotient_matches_the_quotient_oracle(name):
+    A = corpus.algebra(name)
+    for n in range(4):
+        args = (A, n, (-1, 0, 1), 3)
+        assert _outcome(lambda: list(line_quotient(*args).classes.items())) \
+            == _outcome(lambda: list(quotient_oracle.line_classes(
+                *args).items()))
+
+
+def _twisted_cases():
+    t3 = corpus.algebra("t3")
+    xyz = t3.monomial({"x": 1, "y": 1, "z": 1})
+    T = DGCA([("x", 1), ("y", 1), ("z", 1), ("b", 2)])
+    ku = corpus.algebra("ku1_h3")
+    T4 = DGCA([("x%d" % i, 1) for i in range(4)])
+    H4 = T4.monomial({"x0": 1, "x1": 1, "x2": 1})
+    return {"t3_kmax1": (t3, xyz, 1), "t3_kmax2": (t3, xyz, 2),
+            "t3_kmax4": (t3, xyz, 4), "t3_zero_twist": (t3, t3.zero(), 1),
+            "even_generator": (T, T.monomial({"x": 1, "y": 1, "z": 1}), 1),
+            "ku1_h3": (ku, ku.gen("h3"), 1), "T4_kmax1": (T4, H4, 1),
+            "T4_kmax2": (T4, H4, 2)}
+
+
+@pytest.mark.parametrize("case", list(_twisted_cases()))
+def test_twisted_ku_quotient_matches_the_quotient_oracle(case):
+    omega, H, kmax = _twisted_cases()[case]
+
+    def images(classes):
+        return [(key, [dict(T.morphism.assignment) for T in members])
+                for key, members in classes.items()]
+
+    assert _outcome(lambda: images(twisted_ku_quotient(
+        omega, H, (-1, 0, 1), kmax=kmax).classes)) == _outcome(
+            lambda: images(quotient_oracle.twisted_classes(
+                omega, H, (-1, 0, 1), kmax=kmax)))
+
+
+@pytest.mark.parametrize("which", ["line_T5", "twisted_t3"])
+def test_each_enumerated_datum_is_verified(monkeypatch, which):
+    # verification happens where each datum is certified: as an endpoint
+    # of a cylinder that verify_concordance checks
+    seen = []
+    verify = character._verify_datum
+
+    def recording(F):
+        seen.append(_terms(F))
+        return verify(F)
+
+    monkeypatch.setattr(character, "_verify_datum", recording)
+    omega, run = _benchmark_quotient(which)
+    res = run()
+    if which == "line_T5":
+        assert (res.class_count, res.h_dim, res.concordances,
+                res.refusals) == (243, 5, 0, 483)
+        members = [_terms(line_datum(omega, 0, p))
+                   for m in res.classes.values() for p in m]
+    else:
+        assert (res.class_count, res.concordances,
+                res.refusals) == (27, 54, 51)
+        members = [_terms(T) for m in res.classes.values() for T in m]
+    assert len(members) == {"line_T5": 243, "twisted_t3": 81}[which]
+    assert set(members) <= set(seen)
+
+
+def _terms(F):
+    """A datum's images as a hashable value."""
+    return tuple((n, tuple(sorted(F.image(n).terms.items())))
+                 for n in F.coefficients.gens.names)
 
 
 def test_decide_concordance_dispatch():

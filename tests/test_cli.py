@@ -384,6 +384,50 @@ def test_verify_concordance_explicit_cylinder(tmp_path, capsys):
     assert "valid" in out
 
 
+def test_verify_concordance_reports_each_failing_leg(tmp_path, capsys):
+    # t0*x is not a chain map (d(t0*x) = dt0*x) and restricts to 0 and x
+    f = tmp_path / "badcyl.dgca"
+    f.write_text(
+        "algebra om { gen x:1; gen y:1; }\n"
+        "algebra line { gen c1:1; }\n"
+        "algebra cyl { gen x:1; gen y:1; gen t0:0; gen dt0:1; d t0 = dt0; }\n"
+        "morphism F0 : line -> om { c1 = x; }\n"
+        "morphism F1 : line -> om { c1 = y; }\n"
+        "morphism M : line -> cyl { c1 = t0*x; }\n")
+    assert _run(["verify-concordance", str(f)], capsys) == (
+        1, "chain failure at c1: x*dt0\nev0 mismatch at c1: x\n"
+           "ev1 mismatch at c1: y - x\nconcordance: invalid\n", "")
+    code, out, err = _run(["verify-concordance", "--json", str(f)], capsys)
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema())
+    assert payload["result"] == {"concordant": False}
+    assert payload["witnesses"] == [
+        {"leg": "chain", "generator": "c1", "residual": "x*dt0"},
+        {"leg": "ev0", "generator": "c1", "residual": "x"},
+        {"leg": "ev1", "generator": "c1", "residual": "y - x"}]
+
+
+def test_verify_twisted_reports_a_bundle_cycle(tmp_path, capsys):
+    # d a = a*b: a new generator whose differential needs itself
+    cycle = "{ gen h3:3; gen a:1; gen b:1; d a = a*b; d b = a*b; }\n"
+    f = tmp_path / "cycle.dgca"
+    f.write_text("algebra base { gen h3:3; }\n"
+                 "algebra tot " + cycle + "algebra om " + cycle
+                 + "morphism M : tot -> om { h3 = h3; a = a; b = b; }\n"
+                 "morphism tau : base -> om { h3 = h3; }\n")
+    assert _run(["verify-twisted", str(f)], capsys) == (
+        1, "bundle order: cycle a -> a\nchain: ok\ntriangle: ok\n"
+           "twisted-flat: no\n", "")
+    code, out, err = _run(["verify-twisted", "--json", str(f)], capsys)
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema())
+    assert payload["result"] == {"datum": "M", "twist": "tau",
+                                 "passed": False}
+    assert payload["witnesses"] == [{"leg": "sullivan", "cycle": ["a"]}]
+
+
 def test_twisted_cohomology_oracles(capsys):
     code, out, _ = _run(
         ["twisted-cohomology", "--twist", "H", "--json", "corpus:t3"], capsys)

@@ -1,10 +1,12 @@
 import gc
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratho.cli import corpus
 from ratho.core_algebra import (
     AlgebraMorphism,
     DegreeError,
@@ -68,6 +70,27 @@ def test_poly_mul_even_square():
     gens = GeneratorSet([("w4", 4), ("w7", 7)])
     w4 = gens.gen("w4")
     assert w4 * w4 == gens.monomial({"w4": 2})
+
+
+def test_poly_pow_is_repeated_product():
+    gens = GeneratorSet([("a", 2), ("th", 1), ("eta", 1)])
+    a, th, eta = gens.gen("a"), gens.gen("th"), gens.gen("eta")
+    p = 2 * a + th + Fraction(1, 3) * eta
+    assert p ** 0 == gens.one()
+    assert p ** 1 == p
+    assert p ** 3 == p * p * p
+    assert (p ** 3).terms
+    assert (th ** 2).is_zero()
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, Fraction(3, 2)])
+def test_poly_pow_refuses_other_exponents(k):
+    # truncating the exponent would silently give x ** 2.5 == x ** 2 and
+    # x ** Fraction(3, 2) == x
+    x = corpus.algebra("s2").gen("w2")
+    message = re.escape("exponent %r is not a nonnegative integer" % (k,))
+    with pytest.raises(ValueError, match=message):
+        x ** k
 
 
 _MIXED = GeneratorSet([("a", 1), ("x", 2), ("b", 3), ("y", 2), ("c", 1)])

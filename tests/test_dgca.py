@@ -139,6 +139,17 @@ def test_is_exact_requires_closed():
         is_exact(A, A.gen("w7"))
 
 
+def test_is_exact_on_the_interval_slices():
+    # t0^3 dt0 = d(t0^4 / 4): its polynomial degree 3 leaves the slice at
+    # polybound 2, the witness leaves it at 3, and both fit at 4
+    interval = corpus.algebra("interval")
+    p = interval.monomial({"t0": 3, "dt0": 1})
+    with pytest.raises(ValueError, match="element leaves the truncated"):
+        is_exact(interval, p, polybound=2)
+    assert is_exact(interval, p, polybound=3) is None
+    assert str(is_exact(interval, p, polybound=4)) == "1/4*t0^4"
+
+
 _DEGREES = st.integers(0, 5)
 
 

@@ -243,6 +243,32 @@ def test_twisted_witness_search():
     assert twisted_is_exact(C, A.gen("x"), residue=1) is None
 
 
+def _even_truncated():
+    """Lambda(a: 2, h: 3, e: 1) twisted by h, truncated at degree 5."""
+    B = DGCA([("a", 2), ("h", 3), ("e", 1)])
+    return TwistedComplex(B, B.gen("h"), truncation=5)
+
+
+@pytest.mark.parametrize("rep, residue, message", [
+    (lambda B: B.gen("a") + B.gen("h"), None, "mixes residues"),
+    (lambda B: B.zero(), None, "zero representative needs an explicit"),
+    (lambda B: B.gen("e"), 0, "does not lie in residue 0"),
+    (lambda B: B.gen("a"), None, "not twisted-closed"),
+])
+def test_twisted_class_refusals(rep, residue, message):
+    C = _even_truncated()
+    with pytest.raises(ValueError, match=message):
+        TwistedClass(C, rep(C.base), residue)
+
+
+def test_twisted_witness_past_the_truncation_is_none():
+    # a^3 h is twisted-closed in degree 9, past the truncation: it is not
+    # a column of residue 1, so no witness is searched
+    C = _even_truncated()
+    a, h = C.base.gen("a"), C.base.gen("h")
+    assert twisted_is_exact(C, a ** 3 * h) is None
+
+
 def test_truncated_even_base_flagged():
     A = DGCA([("w3", 3), ("c4", 4)])
     C = TwistedComplex(A, A.gen("w3"), truncation=8)
