@@ -32,9 +32,9 @@ included, are verification-only.
 The lattice quotients of both families (line_quotient, twisted_ku_quotient)
 are one level loop, _lattice_classes: from the family's zero datum each
 generator g takes a particular solution of the coefficients' own
-d F(g) = F(dg) plus lattice combinations of cocycles, each datum is keyed
-by the class of its lift, and it is verified where the grouping is
-certified, as an endpoint of a verified straight cylinder.
+d F(g) = F(dg) plus lattice combinations of cocycles, each datum is lifted
+once and keyed by the class of its lift, and each class's first member is
+verified directly, every later one as a verified cylinder's endpoint.
 
 Residuals in every report follow one convention, is_chain_map's: image of
 the source differential minus differential of the image, so a residual
@@ -445,15 +445,16 @@ def _lattice_classes(zero, lattice, polybound=None):
     zero, a datum of a decidable family (_family) sending its names to 0,
     seeds the level loop: with F the partial datum, a name g of degree k
     takes a primitive of F(dg) in _slices(target), or 0 when F(dg) = 0,
-    plus each lattice combination of the degree-k cocycles; a datum's key
-    is the class of its lift into B.  On one CylinderAlgebra the straight
-    cylinder joins the first member of each class to itself and to each
-    later member; verify_concordance checks each, endpoints included, and
-    that is where every datum is verified.  Each witness integrated off one
-    is lifted into B and re-checked with apply_d.  Across classes,
-    differences of first members must have no primitive in _slices(B): all
-    pairs up to 16 classes, else a chain and a star.  Returns (family,
-    classes, concordances, refusals); classes hold member data in creation
+    plus each lattice combination of the degree-k cocycles; each datum is
+    lifted into B once, and its key is the class of that lift.  The first
+    member of each class passes _verify_datum; on one CylinderAlgebra the
+    straight cylinder joins it to each later member, and
+    verify_concordance checks each, endpoints included.  Each witness
+    integrated off one is lifted into B and re-checked with apply_d
+    against the endpoints' lifts.  Across classes, differences of first
+    members' lifts must have no primitive in _slices(B): all pairs up to
+    16 classes, else a chain and a star.  Returns (family, classes,
+    concordances, refusals); classes hold (datum, lift) pairs in creation
     order.
     """
     family = _family(zero, polybound)
@@ -481,27 +482,22 @@ def _lattice_classes(zero, lattice, polybound=None):
     for images in partial:
         datum = copy.copy(zero)
         datum.morphism = AlgebraMorphism(coefficients, target, images)
-        key = family.complex.class_key(family.grade,
-                                       _lift(family, datum.image))
-        classes.setdefault(key, []).append(datum)
-    concordances = refusals = 0
+        lift = _lift(family, datum.image)
+        classes.setdefault(family.complex.class_key(family.grade, lift),
+                           []).append((datum, lift))
     cyl = CylinderAlgebra(target)
-    for members in classes.values():
-        d0 = members[0]
-        if not verify_concordance(
-                _straight_concordance(d0, d0, family, cyl)).passed:
-            raise RuntimeError("constant concordance failed verification")
-        for d1 in members[1:]:
+    for (d0, x0), *rest in classes.values():
+        if not _verify_datum(d0).passed:
+            raise RuntimeError("enumerated datum failed verification")
+        for d1, x1 in rest:
             ccd = _straight_concordance(d0, d1, family, cyl)
             if not verify_concordance(ccd).passed:
                 raise RuntimeError("straight concordance failed verification")
             h = _lift(family, lambda n: fiber_integrate(cyl, ccd.image(n)))
-            if apply_d(family.algebra, h) != (_lift(family, d1.image)
-                                              - _lift(family, d0.image)):
+            if apply_d(family.algebra, h) != x1 - x0:
                 raise RuntimeError("extracted witness does not integrate "
                                    "the endpoint difference")
-            concordances += 1
-    reps = [_lift(family, members[0].image) for members in classes.values()]
+    reps = [members[0][1] for members in classes.values()]
     if len(reps) <= 16:
         pairs = list(itertools.combinations(range(len(reps)), 2))
     else:
@@ -512,8 +508,7 @@ def _lattice_classes(zero, lattice, polybound=None):
                                     reps[j] - reps[i]) is not None:
             raise RuntimeError("distinct classes had a difference with a "
                                "primitive")
-        refusals += 1
-    return family, classes, concordances, refusals
+    return family, classes, len(partial) - len(classes), len(pairs)
 
 
 # -- line coefficients -------------------------------------------------------
@@ -537,16 +532,15 @@ def line_quotient(omega, n, lattice, polybound=None):
     The data send the line generator to lattice combinations of a cocycle
     basis in degree n+1; _lattice_classes keys them by cohomology class
     and certifies the grouping both ways.  Each class holds its members'
-    forms, and h_dim is dim H^(n+1).
+    forms, and h_dim is dim H^(n+1), read from the ranks of d.
     """
     family, data, concordances, refusals = _lattice_classes(
         line_datum(omega, n, omega.zero()), lattice, polybound)
-    classes = {key: [F.image(family.names[0]) for F in members]
+    classes = {key: [F.image(family.names[0]) for F, _ in members]
                for key, members in data.items()}
-    h = family.complex.homology(family.grade)
     return QuotientResult(classes, [m[0] for m in classes.values()],
                           concordances, refusals,
-                          h_dim=len(h.kernel) - len(h.boundaries))
+                          h_dim=family.complex.dims(family.grade))
 
 
 # -- the h3-twisted periodic family ------------------------------------------
@@ -582,10 +576,11 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     twist = FlatFormDatum(bundle.base, omega, {"h3": twist_form})
     if not verify_flat(twist).passed:
         raise ValueError("twist must be closed")
-    family, classes, concordances, refusals = _lattice_classes(
+    family, data, concordances, refusals = _lattice_classes(
         TwistedFlatFormDatum(bundle, twist, {
             "h3": twist_form,
             **dict.fromkeys(bundle.new_names, omega.zero())}), lattice)
+    classes = {key: [T for T, _ in members] for key, members in data.items()}
     reps = [sum(map(members[0].image, family.names), omega.zero())
             for members in classes.values()]
     return QuotientResult(classes, reps, concordances, refusals, complex_=(
@@ -667,8 +662,7 @@ def preset_twistorial():
         "ch8": g.gen("e8"),
     })
     datum = TwistedFlatFormDatum(bundle, twist, {
-        "hp1": 2 * g.gen("q"),
-        "ch8": g.gen("e8"),
+        **twist.morphism.assignment,
         "f2": g.gen("F2"),
         "h3": g.gen("H3"),
         "w4": g.gen("G4"),
@@ -683,8 +677,7 @@ def preset_twistorial():
     })
     stage_bundle = RelativeExtension(base, stage)
     pushforward = TwistedFlatFormDatum(stage_bundle, twist, {
-        "hp1": 2 * g.gen("q"),
-        "ch8": g.gen("e8"),
+        **twist.morphism.assignment,
         "w4": g.gen("G4"),
         "w7": 2 * g.gen("G7"),
     })

@@ -20,6 +20,7 @@ every command that needs a closed algebra passes through the same gate.
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -593,13 +594,10 @@ def _build_parser():
 
 
 def _inputs(args):
-    skip = {"command", "json", "out"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value in (None, False):
-            continue
-        out[key] = value
-    return out
+    # by identity: 0 == False, and a zero-valued option is still an input
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in ("command", "json", "out")
+            and value is not None and value is not False}
 
 
 def main(argv=None):
@@ -642,7 +640,13 @@ def main(argv=None):
 
 
 def console_entry():
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

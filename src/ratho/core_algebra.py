@@ -39,11 +39,18 @@ class DegreeError(ValueError):
     pass
 
 
+def _integer(value, what):
+    """value if it is an int, else ValueError naming it; never truncates."""
+    if not isinstance(value, int):
+        raise ValueError("%s %r is not an integer" % (what, value))
+    return value
+
+
 class GeneratorSet:
     """Ordered generator context; declaration order is the canonical order."""
 
     def __init__(self, gens):
-        gens = [Generator(str(n), int(d)) for (n, d) in gens]
+        gens = [Generator(str(n), _integer(d, "degree")) for (n, d) in gens]
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
@@ -99,26 +106,20 @@ class GeneratorSet:
         """Polynomial with a single term; powers maps name -> exponent."""
         exps = [0] * len(self.gens)
         for name, e in powers.items():
-            exps[self.index[name]] = int(e)
-        m = tuple(exps)
-        self._check_monomial(m)
-        c = Fraction(coeff)
-        return Polynomial(self, {m: c} if c else {})
+            exps[self.index[name]] = e
+        return self.from_exponents(exps, coeff)
 
     def from_exponents(self, exps, coeff=1):
-        m = tuple(int(e) for e in exps)
-        self._check_monomial(m)
-        c = Fraction(coeff)
-        return Polynomial(self, {m: c} if c else {})
-
-    def _check_monomial(self, exps):
-        if len(exps) != len(self.gens):
+        m = tuple(_integer(e, "exponent") for e in exps)
+        if len(m) != len(self.gens):
             raise GeneratorSetMismatch("exponent vector length mismatch")
-        for e, odd in zip(exps, self.odd):
+        for e, odd in zip(m, self.odd):
             if e < 0:
                 raise ValueError("negative exponent")
             if odd and e > 1:
                 raise ValueError("odd generator squared")
+        c = Fraction(coeff)
+        return Polynomial(self, {m: c} if c else {})
 
     def monomial_degree(self, exps):
         return sum(e * d for e, d in zip(exps, self.degrees))

@@ -25,7 +25,7 @@ generators of an extension where is_sullivan and is_minimal run on all.
 
 from fractions import Fraction
 
-from .core_algebra import DegreeError, GeneratorSet
+from .core_algebra import DegreeError, GeneratorSet, _integer
 from .dgca import DGCA, check_d_squared
 
 
@@ -38,7 +38,7 @@ class LInfinityStructure:
     """
 
     def __init__(self, basis, brackets):
-        basis = tuple((str(n), int(d)) for n, d in basis)
+        basis = tuple((str(n), _integer(d, "degree")) for n, d in basis)
         names = tuple(n for n, _ in basis)
         if len(set(names)) != len(names):
             raise ValueError("duplicate basis names")

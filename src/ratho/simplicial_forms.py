@@ -22,6 +22,7 @@ from fractions import Fraction
 from .core_algebra import (
     AlgebraMorphism,
     GeneratorSetMismatch,
+    _integer,
     morphism_by_names,
 )
 from .dgca import DGCA, apply_d, tensor
@@ -31,7 +32,7 @@ class SimplexAlgebra:
     """Forms on the n-simplex; dimension plus the underlying free dgca."""
 
     def __init__(self, n):
-        n = int(n)
+        n = _integer(n, "simplex dimension")
         if n < 0:
             raise ValueError("simplex dimension must be >= 0")
         self.n = n

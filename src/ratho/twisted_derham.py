@@ -15,7 +15,7 @@ twisted_d is the Polynomial form of the same map.
 """
 
 from ._complex import Complex
-from .core_algebra import (GeneratorSetMismatch, basis_of_degree,
+from .core_algebra import (GeneratorSetMismatch, _integer, basis_of_degree,
                            normalize_product)
 from .dgca import _derivation_table, _derive, apply_d
 
@@ -53,7 +53,7 @@ class TwistedComplex:
             if truncation is None:
                 raise ValueError(
                     "even-degree generators need a total-degree truncation")
-            self.top = self.truncation = int(truncation)
+            self.top = self.truncation = _integer(truncation, "truncation")
 
     def residues(self):
         if self.period == 0:

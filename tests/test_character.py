@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -565,8 +566,8 @@ def test_twisted_ku_quotient_matches_the_quotient_oracle(case):
 
 @pytest.mark.parametrize("which", ["line_T5", "twisted_t3"])
 def test_each_enumerated_datum_is_verified(monkeypatch, which):
-    # verification happens where each datum is certified: as an endpoint
-    # of a cylinder that verify_concordance checks
+    # each class's first member is verified directly, and every later one
+    # as an endpoint of a cylinder that verify_concordance checks
     seen = []
     verify = character._verify_datum
 
@@ -588,6 +589,33 @@ def test_each_enumerated_datum_is_verified(monkeypatch, which):
         members = [_terms(T) for m in res.classes.values() for T in m]
     assert len(members) == {"line_T5": 243, "twisted_t3": 81}[which]
     assert set(members) <= set(seen)
+
+
+@pytest.mark.parametrize("which", ["line_T5", "twisted_t3"])
+def test_lattice_classes_verify_and_lift_each_datum_once(monkeypatch, which):
+    # no reflexive cylinder: one check per first member, two endpoint
+    # checks per within-class cylinder; one lift per datum when keyed and
+    # three per cylinder (its two endpoints and its integrated witness)
+    calls = collections.Counter()
+
+    def counting(name):
+        f = getattr(character, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(character, name, wrapped)
+
+    for name in ("_lift", "_straight_concordance", "_verify_datum"):
+        counting(name)
+    omega, run = _benchmark_quotient(which)
+    res = run()
+    data = sum(len(m) for m in res.classes.values())
+    assert res.concordances == {"line_T5": 0, "twisted_t3": 54}[which]
+    assert calls["_straight_concordance"] == res.concordances
+    assert calls["_verify_datum"] == res.class_count + 2 * res.concordances
+    assert calls["_verify_datum"] == {"line_T5": 243, "twisted_t3": 135}[which]
+    assert calls["_lift"] == data + 3 * res.concordances == 243
 
 
 def _terms(F):

@@ -531,16 +531,56 @@ def test_json_payloads_validate(argv, capsys):
     assert payload["command"] == argv[0]
 
 
-def test_module_runs_as_a_script():
+@pytest.mark.parametrize("argv, inputs", [
+    (["cohomology", "--max-degree", "0", "corpus:s2"],
+     {"file": "corpus:s2", "max_degree": 0}),
+    (["twisted-cohomology", "--period", "0", "corpus:t3"],
+     {"file": "corpus:t3", "period": 0}),
+])
+def test_json_inputs_keep_zero_valued_options(argv, inputs, capsys):
+    main(argv + ["--json"])
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, _schema())
+    assert payload["inputs"] == inputs
+
+
+def _script_env(**extra):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_runs_as_a_script():
+    env = _script_env()
     proc = subprocess.run(
         [sys.executable, "-m", "ratho.cli.main", "cohomology", "corpus:s4"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert "H^4 = 1" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    env = _script_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    # the read end is closed before the script starts, so every write to
+    # its stdout fails with a broken pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratho.cli.main", "cohomology",
+             "--max-degree", "6", "corpus:s4"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
 
 
 def _nested_differential(depth):

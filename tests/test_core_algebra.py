@@ -83,6 +83,32 @@ def test_poly_pow_is_repeated_product():
     assert (th ** 2).is_zero()
 
 
+def _not_an_integer(what, value):
+    return pytest.raises(ValueError, match=re.escape(
+        "%s %r is not an integer" % (what, value)))
+
+
+def test_generator_degree_must_be_an_integer():
+    # int() would truncate the degree 2.7 to 2
+    with _not_an_integer("degree", 2.7):
+        GeneratorSet([("a", 2.7)])
+
+
+@pytest.mark.parametrize("e", [2.5, "2"])
+def test_monomial_exponent_must_be_an_integer(e):
+    # int() would read both as 2 and give x^2
+    gens = GeneratorSet([("x", 2)])
+    with _not_an_integer("exponent", e):
+        gens.monomial({"x": e})
+
+
+def test_exponent_vector_entries_must_be_integers():
+    # int() would truncate Fraction(3, 2) to 1 and give x
+    gens = GeneratorSet([("x", 2), ("y", 2)])
+    with _not_an_integer("exponent", Fraction(3, 2)):
+        gens.from_exponents((Fraction(3, 2), 0))
+
+
 @pytest.mark.parametrize("k", [-1, 2.5, Fraction(3, 2)])
 def test_poly_pow_refuses_other_exponents(k):
     # truncating the exponent would silently give x ** 2.5 == x ** 2 and

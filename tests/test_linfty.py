@@ -81,6 +81,12 @@ def _twistor():
     })
 
 
+def test_basis_degree_must_be_an_integer():
+    # int() would truncate the degree 0.5 to 0
+    with pytest.raises(ValueError, match="degree 0.5 is not an integer"):
+        LInfinityStructure([("a", 0.5)], {})
+
+
 def test_odd_sphere_brackets_vanish():
     L = brackets_from_ce(_s3())
     assert L.basis == (("w3", 2),)

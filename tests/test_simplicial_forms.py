@@ -44,6 +44,13 @@ def test_simplex_algebra_shape():
     assert apply_d(S.algebra, last) == -(S.algebra.gen("dt0") + S.algebra.gen("dt1"))
 
 
+def test_simplex_dimension_must_be_an_integer():
+    # int() would truncate 1.5 and give the 1-simplex
+    with pytest.raises(ValueError,
+                       match="simplex dimension 1.5 is not an integer"):
+        SimplexAlgebra(1.5)
+
+
 def test_point_simplex():
     S = SimplexAlgebra(0)
     assert len(S.algebra.gens) == 0

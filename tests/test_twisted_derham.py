@@ -76,6 +76,13 @@ def test_complex_validation():
         TwistedComplex(degree0, degree0.zero(), period=1)
 
 
+def test_truncation_must_be_an_integer():
+    # int() would truncate 5.5 to 5
+    B = DGCA([("a", 2), ("h", 3), ("e", 1)])
+    with pytest.raises(ValueError, match="truncation 5.5 is not an integer"):
+        TwistedComplex(B, B.gen("h"), truncation=5.5)
+
+
 def test_sphere_twisted_ranks():
     assert twisted_cohomology_dims(_sphere_twisted()) == (0, 0)
     A = _sphere()
