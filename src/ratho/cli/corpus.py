@@ -90,7 +90,7 @@ def names():
 
 def entry(name):
     if name not in _BY_NAME:
-        raise KeyError("no corpus entry named %r" % name)
+        raise ValueError("no corpus entry named %r" % name)
     return _BY_NAME[name]
 
 

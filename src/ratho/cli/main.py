@@ -1,21 +1,21 @@
 """Command-line driver.
 
-Exit codes: 0 when the requested check or computation passes, 1 when a
-mathematical check fails (d^2 != 0, not Sullivan, data not concordant,
-...), 2 on usage or parse errors.  --json emits {command, inputs, result,
-witnesses} against the shipped schema; --out redirects the rendered
-output to a file.
-
-File arguments accept either a path or corpus:NAME for a built-in model.
-
 Each command is one row of _COMMANDS: a handler, the reader that turns
-the loaded model file into the handler's inputs, and its help line.
+the loaded model file into the handler's inputs, the arguments they read,
+and a help line.  A command takes only its row's arguments, then --json
+(emit {command, inputs, result, witnesses} against the shipped schema)
+and --out (write the rendered output to a file), and last the model file,
+a path or corpus:NAME, if it has a reader.  Any other flag is exit 2.
+
 main() alone loads the file, runs the reader and the handler, and maps
-errors: ParseError and any ValueError or NotImplementedError (UsageError
-is one) end with exit 2.  The closed readers (_closed_algebra,
-_twisted_complex, _twisted_rep) and _flat_datum check d^2 = 0 on the
-algebras they hand over and raise CheckFailed with check's outcome, so
-every command that needs a closed algebra passes through the same gate.
+errors to exit codes.  0: the check or computation passes.  1: a
+mathematical check fails (d^2 != 0, not Sullivan, not concordant, ...),
+or a certificate ratho checks itself fails: any other RuntimeError, with
+result {"error": message}.  2: ParseError, ValueError (UsageError is
+one), NotImplementedError and BudgetExceeded.  The closed readers
+(_closed_algebra, _twisted_complex, _twisted_rep) and _flat_datum check
+d^2 = 0 on the algebras they hand over and raise CheckFailed with check's
+outcome, so every command that needs a closed algebra passes the same gate.
 """
 
 import argparse
@@ -52,11 +52,7 @@ class CheckFailed(Exception):
 
 def _load_model(path):
     if path.startswith("corpus:"):
-        name = path[len("corpus:"):]
-        try:
-            return corpus.load(name)
-        except KeyError as e:
-            raise UsageError(str(e.args[0]))
+        return corpus.load(path[len("corpus:"):])
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -208,10 +204,7 @@ def _cmd_cohomology(args, name, A):
 
 def _cmd_minimal_model(args, name, A):
     top = args.max_degree if args.max_degree is not None else 8
-    try:
-        res = minimal_model(A, top, polybound=args.polybound)
-    except BudgetExceeded as e:
-        return 1, {"algebra": name, "error": str(e)}, [], [str(e)]
+    res = minimal_model(A, top, polybound=args.polybound)
     M = res.model
     lines = ["minimal model of %s through degree %d" % (name, res.bound)]
     for g, d in zip(M.gens.names, M.gens.degrees):
@@ -443,11 +436,8 @@ def _cmd_verify_concordance(args, mf):
 def _cmd_line_quotient(args, name, A):
     if args.max_degree is None:
         raise UsageError("line-quotient needs --max-degree (the line degree n)")
-    try:
-        res = line_quotient(A, args.max_degree, range(-2, 3),
-                            polybound=args.polybound)
-    except RuntimeError as e:
-        return 1, {"algebra": name, "error": str(e)}, [], [str(e)]
+    res = line_quotient(A, args.max_degree, range(-2, 3),
+                        polybound=args.polybound)
     lines = ["line coefficients of degree %d over %s"
              % (args.max_degree + 1, name),
              "concordance classes: %d" % res.class_count,
@@ -518,78 +508,83 @@ def _cmd_corpus(args):
         return 0, {"entries": entries}, [], lines
     if args.name is None:
         raise UsageError("corpus needs a name or --list")
-    try:
-        text = corpus.text(args.name)
-    except KeyError as e:
-        raise UsageError(str(e.args[0]))
+    text = corpus.text(args.name)
     return 0, {"name": args.name, "text": text}, [], [text.rstrip("\n")]
 
 
-# command -> (handler, reader, help); corpus reads no model file.
+# argument -> add_argument keywords
+_ARGUMENTS = {
+    "--max-degree": {"type": int, "metavar": "N"},
+    "--polybound": {"type": int, "metavar": "D"},
+    "--twist": {"metavar": "NAME"},
+    "--period": {"type": int, "metavar": "R"},
+    "--json": {"action": "store_true"},
+    "--out": {"metavar": "FILE"},
+    "--list": {"action": "store_true"},
+    "name": {"nargs": "?"},
+    "op": {"choices": sorted(_TWISTED_OPS)},
+    "rep": {"help": "twist block naming the representative"},
+    "file": {},
+}
+_BOUNDED = ("--max-degree", "--polybound")
+_TWISTED = ("--max-degree", "--twist", "--period")
+
+# command -> (handler, reader, arguments, help); corpus reads no model file.
 _COMMANDS = {
-    "check": (_cmd_check, _model,
+    "check": (_cmd_check, _model, (),
               "verify d^2 = 0 for every algebra in the file"),
-    "cohomology": (_cmd_cohomology, _closed_algebra,
+    "cohomology": (_cmd_cohomology, _closed_algebra, _BOUNDED,
                    "cohomology table of the first algebra"),
-    "minimal-model": (_cmd_minimal_model, _closed_algebra,
+    "minimal-model": (_cmd_minimal_model, _closed_algebra, _BOUNDED,
                       "minimal model of the first algebra"),
-    "brackets": (_cmd_brackets, _closed_algebra,
+    "brackets": (_cmd_brackets, _closed_algebra, (),
                  "bracket table read off the first algebra"),
-    "is-sullivan": (_cmd_is_sullivan, _algebra,
+    "is-sullivan": (_cmd_is_sullivan, _algebra, (),
                     "well-founded generator order, or a cycle"),
-    "is-minimal": (_cmd_is_minimal, _algebra,
+    "is-minimal": (_cmd_is_minimal, _algebra, (),
                    "minimality of the first algebra"),
     "twisted-cohomology": (_cmd_twisted_cohomology, _twisted_complex,
+                           _TWISTED,
                            "periodic twisted cohomology over a twist block"),
-    "twisted-op": (_cmd_twisted_op, _twisted_rep,
+    "twisted-op": (_cmd_twisted_op, _twisted_rep, _TWISTED + ("op", "rep"),
                    "apply a periodic operation to a representative"),
     "chern": (_characteristic_forms("chern", chern_forms, 2), _matrix,
-              "chern forms of the first matrix"),
+              ("--max-degree",), "chern forms of the first matrix"),
     "pontrjagin": (_characteristic_forms("pontrjagin", pontrjagin_forms, 4),
-                   _antisymmetric_matrix,
+                   _antisymmetric_matrix, ("--max-degree",),
                    "pontrjagin forms of the first (antisymmetric) matrix"),
-    "euler": (_cmd_euler, _antisymmetric_matrix,
+    "euler": (_cmd_euler, _antisymmetric_matrix, (),
               "euler form of the first (antisymmetric) matrix"),
-    "i8": (_cmd_i8, _antisymmetric_matrix,
+    "i8": (_cmd_i8, _antisymmetric_matrix, (),
            "the degree-8 polynomial (p2 - p1^2/4)/48"),
-    "verify-flat": (_cmd_verify_flat, _model,
+    "verify-flat": (_cmd_verify_flat, _model, (),
                     "check the first morphism as a flat form datum"),
-    "verify-twisted": (_cmd_verify_twisted, _model,
+    "verify-twisted": (_cmd_verify_twisted, _model, (),
                        "check a twisted datum: morphisms M then tau"),
-    "verify-concordance": (_cmd_verify_concordance, _model,
+    "verify-concordance": (_cmd_verify_concordance, _model, ("--polybound",),
                            "decide (2 morphisms) or verify (3) a concordance"),
-    "line-quotient": (_cmd_line_quotient, _closed_algebra,
+    "line-quotient": (_cmd_line_quotient, _closed_algebra, _BOUNDED,
                       "concordance classes of line-coefficient lattice data"),
-    "stokes-check": (_cmd_stokes_check, _algebra,
+    "stokes-check": (_cmd_stokes_check, _algebra, (),
                      "fiberwise Stokes and projection on random elements"),
-    "corpus": (_cmd_corpus, None, "list or print built-in models"),
+    "corpus": (_cmd_corpus, None, ("--list", "name"),
+               "list or print built-in models"),
 }
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-degree", type=int, default=None, metavar="N")
-    common.add_argument("--polybound", type=int, default=None, metavar="D")
-    common.add_argument("--twist", default=None, metavar="NAME")
-    common.add_argument("--period", type=int, default=None, metavar="R")
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--out", default=None, metavar="FILE")
     top = argparse.ArgumentParser(
         prog="ratho",
         description="exact rational homotopy calculations on model files")
+    # an option the command does not take reads as None
+    top.set_defaults(max_degree=None, polybound=None, twist=None, period=None)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_)
-        if name == "corpus":
-            p.add_argument("name", nargs="?", default=None)
-            p.add_argument("--list", action="store_true")
-        elif name == "twisted-op":
-            p.add_argument("op", choices=sorted(_TWISTED_OPS))
-            p.add_argument("rep",
-                           help="twist block naming the representative")
-            p.add_argument("file")
-        else:
-            p.add_argument("file")
+    for name, (_, reader, arguments, help_) in _COMMANDS.items():
+        # on a group, add_argument skips the help formatter a parser builds
+        group = sub.add_parser(name, help=help_).add_argument_group(name)
+        file_ = ("file",) if reader else ()
+        for arg in arguments + ("--json", "--out") + file_:
+            group.add_argument(arg, **_ARGUMENTS[arg])
     return top
 
 
@@ -605,14 +600,14 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 2
-    handler, reader, _ = _COMMANDS[args.command]
+    handler, reader, _, _ = _COMMANDS[args.command]
     try:
         if args.max_degree is not None and args.max_degree < 0:
             raise UsageError("--max-degree must be >= 0, got %d"
                              % args.max_degree)
         inputs = reader(args, _load_model(args.file)) if reader else ()
         code, result, witnesses, lines = handler(args, *inputs)
-    except (ValueError, NotImplementedError) as e:
+    except (ValueError, NotImplementedError, BudgetExceeded) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except ParseError as e:
@@ -620,6 +615,8 @@ def main(argv=None):
         return 2
     except CheckFailed as e:
         code, result, witnesses, lines = e.args
+    except RuntimeError as e:  # a certificate ratho checks itself failed
+        code, result, witnesses, lines = 1, {"error": str(e)}, [], [str(e)]
     if args.json:
         text = json.dumps({"command": args.command, "inputs": _inputs(args),
                            "result": result, "witnesses": witnesses},

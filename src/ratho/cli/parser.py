@@ -81,7 +81,11 @@ def _lex(text):
             start = i
             while i < n and text[i].isdecimal():
                 i += 1
-            tokens.append(_Token("int", int(text[start:i]), line, col))
+            try:
+                value = int(text[start:i])
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError("integer too long", line, col) from None
+            tokens.append(_Token("int", value, line, col))
             col += i - start
             continue
         if ch.isalpha() or ch == "_":
@@ -341,11 +345,9 @@ class _Parser:
         end = self.pos
         for g, expr_pos in deqs:
             if g.value not in gens.index:
-                raise ParseError("unknown generator %r" % g.value,
-                                 g.line, g.col)
+                self.error("unknown generator %r" % g.value, g)
             if g.value in d:
-                raise ParseError("differential of %r already given" % g.value,
-                                 g.line, g.col)
+                self.error("differential of %r already given" % g.value, g)
             self.pos = expr_pos
             value = self.parse_expr(gens)
             if not self.at_sym(";"):
@@ -353,15 +355,14 @@ class _Parser:
             if not value.is_zero():
                 want = gens.degree_of(g.value) + 1
                 if not value.is_homogeneous() or value.degree() != want:
-                    raise ParseError(
-                        "d %s must be homogeneous of degree %d"
-                        % (g.value, want), g.line, g.col)
+                    self.error("d %s must be homogeneous of degree %d"
+                               % (g.value, want), g)
                 d[g.value] = value
         self.pos = end
         try:
             mf.algebras[name_tok.value] = DGCA(gens, d)
         except ValueError as e:
-            raise ParseError(str(e), name_tok.line, name_tok.col)
+            self.error(str(e), name_tok)
 
     def _morphism(self, mf):
         self.next()
@@ -395,7 +396,7 @@ class _Parser:
         try:
             morphism = AlgebraMorphism(source, target, assignment)
         except ValueError as e:
-            raise ParseError(str(e), name_tok.line, name_tok.col)
+            self.error(str(e), name_tok)
         mf.morphisms[name_tok.value] = MorphismDecl(
             name_tok.value, src_tok.value, tgt_tok.value, morphism)
 

@@ -78,7 +78,8 @@ def minimal_model(A, N, polybound=None, budget=64):
         name = "v%d_%d" % (n, sum(1 for _, deg in pairs if deg == n))
         pairs.append((name, n))
         if len(pairs) > budget:
-            raise BudgetExceeded("generator budget %d exceeded" % budget)
+            raise BudgetExceeded("generator budget %d exceeded in degree %d"
+                                 % (budget, n))
         if d is not None:
             d_data[name] = d
         phi_data[name] = image

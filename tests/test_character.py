@@ -98,6 +98,15 @@ def _ku_datum(target, images):
     return TwistedFlatFormDatum(bundle, twist, assignment)
 
 
+def test_preset_and_corpus_ship_the_same_models():
+    # each model is written twice: a Python literal and a corpus file
+    preset = preset_twistorial()
+    assert preset.datum.bundle.total == corpus.algebra("twistor")
+    for datum in (preset.datum, preset.pushforward):
+        assert datum.bundle.base == corpus.algebra("sp2inv")
+    assert twisted_ku_bundle(4).total == corpus.algebra("ku1_h3")
+
+
 def test_flat_line_closed_form_passes():
     omega = _sphere3()
     F = line_datum(omega, 2, 2 * omega.gen("w3"))

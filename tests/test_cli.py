@@ -1,12 +1,16 @@
 """Parser round-trips, fuzzed files, exit codes, JSON schema conformance."""
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import textwrap
+import types
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -15,8 +19,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratho import character
 from ratho.cli import corpus
-from ratho.cli.main import main
+from ratho.cli.main import _COMMANDS, _build_parser, main
 from ratho.cli.parser import MAX_NESTING, ParseError, parse, print_model
 from ratho.core_algebra import GeneratorSet, basis_of_degree
 from ratho.dgca import check_d_squared
@@ -295,6 +300,24 @@ def test_superscript_digit_is_a_located_parse_error(tmp_path, capsys):
     assert mf.first_algebra()[1].gens.degrees == (3,)
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="int() converts literals of any length")
+def test_oversized_integer_is_a_located_parse_error(tmp_path, capsys):
+    # int() refuses more digits than sys.get_int_max_str_digits()
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    prefix = "algebra A { gen x:2; gen y:5; d y = "
+    for text, col in ((prefix + digits + "*x^3; }", len(prefix) + 1),
+                      ("algebra A { gen x:" + digits + "; }", 19)):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (e.value.line, e.value.col, e.value.message) == (
+            1, col, "integer too long")
+    f = tmp_path / "big.dgca"
+    f.write_text(prefix + digits + "*x^3; }\n")
+    assert _run(["check", str(f)], capsys) == (
+        2, "", "parse error: 1:37: integer too long\n")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = _run(["check", "no/such/file.dgca"], capsys)
     assert code == 2
@@ -502,6 +525,118 @@ def test_unwritable_out_file_exits_2(tmp_path, capsys):
     assert out == ""
     assert err == ("error: cannot write %s: No such file or directory\n"
                    % target)
+
+
+# -- options per command -----------------------------------------------------
+
+# the computation options each command reads; every command also takes
+# --json and --out
+_READS = {
+    "check": (),
+    "cohomology": ("--max-degree", "--polybound"),
+    "minimal-model": ("--max-degree", "--polybound"),
+    "brackets": (),
+    "is-sullivan": (),
+    "is-minimal": (),
+    "twisted-cohomology": ("--max-degree", "--twist", "--period"),
+    "twisted-op": ("--max-degree", "--twist", "--period"),
+    "chern": ("--max-degree",),
+    "pontrjagin": ("--max-degree",),
+    "euler": (),
+    "i8": (),
+    "verify-flat": (),
+    "verify-twisted": (),
+    "verify-concordance": ("--polybound",),
+    "line-quotient": ("--max-degree", "--polybound"),
+    "stokes-check": (),
+    "corpus": (),
+}
+_OPTIONS = ("--max-degree", "--polybound", "--twist", "--period")
+
+
+def _argv(command, *options):
+    tail = {"corpus": ["s4"], "twisted-op": ["wedge-twist", "R", "corpus:t3"]}
+    return [command, *tail.get(command, ["corpus:t3"]), *options]
+
+
+def test_option_map_names_every_command():
+    assert sorted(_READS) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("command, option", [
+    (c, o) for c in _READS for o in _OPTIONS if o not in _READS[c]])
+def test_an_option_the_command_does_not_read_exits_2(command, option,
+                                                     capsys):
+    code, out, err = _run(_argv(command, option, "1"), capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: %s" % option in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--twist", "H", "corpus:t3"],
+    ["check", "--twist", "X", "corpus:s4"],
+])
+def test_an_ignored_option_is_not_run(argv, capsys):
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --twist" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    (c, o) for c in _READS for o in _READS[c]])
+def test_an_option_the_command_reads_is_accepted(command, option):
+    args = _build_parser().parse_args(_argv(command, option, "1"))
+    value = getattr(args, option[2:].replace("-", "_"))
+    assert value == ("1" if option == "--twist" else 1)
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_every_namespace_carries_the_four_options(command):
+    args = _build_parser().parse_args(_argv(command, "--json"))
+    for option in _OPTIONS:
+        assert getattr(args, option[2:].replace("-", "_")) is None
+
+
+# -- error map ----------------------------------------------------------------
+
+def test_handlers_leave_errors_to_main():
+    for handler, _, _, _ in _COMMANDS.values():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), \
+            handler.__name__
+
+
+def test_minimal_model_over_budget_exits_2(tmp_path, capsys):
+    f = tmp_path / "wide.dgca"
+    f.write_text("algebra W { %s}\n"
+                 % "".join("gen g%d:2; " % i for i in range(65)))
+    for flags in ([], ["--json"]):
+        assert _run(["minimal-model", "--max-degree", "2", *flags, str(f)],
+                    capsys) == (
+            2, "", "error: generator budget 64 exceeded in degree 2\n")
+
+
+def test_failed_certificate_exits_1_without_a_traceback(tmp_path, capsys,
+                                                        monkeypatch):
+    f = tmp_path / "same.dgca"
+    f.write_text("algebra om { gen x:1; gen y:1; }\n"
+                 "algebra line { gen c1:1; }\n"
+                 "morphism F0 : line -> om { c1 = x; }\n"
+                 "morphism F1 : line -> om { c1 = x; }\n")
+    assert _run(["verify-concordance", str(f)], capsys) == (
+        0, "concordant: yes\n", "")
+    # decide_concordance checks the concordance it builds; make that fail
+    monkeypatch.setattr(character, "verify_concordance",
+                        lambda ccd: types.SimpleNamespace(passed=False))
+    message = "constructed concordance failed verification"
+    assert _run(["verify-concordance", str(f)], capsys) == (
+        1, message + "\n", "")
+    code, out, err = _run(["verify-concordance", "--json", str(f)], capsys)
+    payload = json.loads(out)
+    jsonschema.validate(payload, _schema())
+    assert (code, err) == (1, "")
+    assert (payload["result"], payload["witnesses"]) == (
+        {"error": message}, [])
 
 
 # -- JSON schema --------------------------------------------------------------
@@ -712,3 +847,53 @@ def test_fuzzed_models_never_raise(fuzz_file, model):
     assert set(codes) <= {0, 1, 2}
     # the text is well formed, so check gets past the parser
     assert codes[0] in (0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=64))
+def test_random_bytes_never_raise(fuzz_file, data):
+    fuzz_file.write_bytes(data)
+    codes = _exit_codes(fuzz_file, [["check"],
+                                    ["cohomology", "--max-degree", "3"]])
+    assert set(codes) <= {0, 1, 2}
+
+
+@st.composite
+def _model_file(draw):
+    """Two algebras, a morphism, a twist and a 2x2 matrix, as text.
+
+    Morphism images take a wrong degree now and then, so some files do
+    not parse."""
+    algebras = {}
+    lines = []
+    for name in ("A", "B"):
+        degrees = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+        gens = GeneratorSet([("%s%d" % (name.lower(), i), d)
+                             for i, d in enumerate(degrees)])
+        algebras[name] = gens
+        lines.append("algebra %s {" % name)
+        lines += ["  gen %s:%d;" % pair for pair in zip(gens.names, degrees)]
+        lines += ["  d %s = %s;" % (g, draw(_element(gens, d + 1)))
+                  for g, d in zip(gens.names, degrees)]
+        lines.append("}")
+    A, B = algebras["A"], algebras["B"]
+    lines.append("morphism F : A -> B { %s }" % " ".join(
+        "%s = %s;" % (g, draw(_element(B, draw(st.sampled_from(
+            [d, d, d, d + 1])))))
+        for g, d in zip(A.names, A.degrees)))
+    lines.append("twist H : A = %s;" % draw(
+        _element(A, draw(st.sampled_from([1, 3])))))
+    lines.append("matrix M : B { %s }" % " ".join(
+        "[%s, %s];" % (draw(_element(B, 2)), draw(_element(B, 2)))
+        for _ in range(2)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model_file())
+def test_printed_model_parses_back(text):
+    try:
+        mf = parse(text)
+    except ParseError:
+        return
+    assert parse(print_model(mf)) == mf
