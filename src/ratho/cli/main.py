@@ -573,15 +573,17 @@ _COMMANDS = {
 
 
 def _build_parser():
+    # no prefixes: adding an option cannot change what a shorter one meant
     top = argparse.ArgumentParser(
-        prog="ratho",
+        prog="ratho", allow_abbrev=False,
         description="exact rational homotopy calculations on model files")
     # an option the command does not take reads as None
     top.set_defaults(max_degree=None, polybound=None, twist=None, period=None)
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, reader, arguments, help_) in _COMMANDS.items():
         # on a group, add_argument skips the help formatter a parser builds
-        group = sub.add_parser(name, help=help_).add_argument_group(name)
+        group = sub.add_parser(name, help=help_,
+                               allow_abbrev=False).add_argument_group(name)
         file_ = ("file",) if reader else ()
         for arg in arguments + ("--json", "--out") + file_:
             group.add_argument(arg, **_ARGUMENTS[arg])

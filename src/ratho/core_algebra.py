@@ -17,6 +17,11 @@ dicts {monomial: Fraction} (_add_terms, _mul_terms), which delete a term
 as soon as it cancels: their output has no zero coefficient, and
 _trusted wraps it without filtering again.
 
+basis_of_degree is output-sensitive: a bit mask per position holds the
+degrees the generators from there on can add exactly, and the odometer
+takes only exponents whose remaining degree is in it, so it enters no
+dead branch.
+
 No floating point anywhere: coefficients are fractions.Fraction.
 """
 
@@ -333,7 +338,7 @@ def basis_of_degree(gens, n, polybound=None):
     Deterministic order: lexicographic in the exponent vector.  polybound
     caps the total exponent of degree-0 generators; it is required as soon
     as any degree-0 generator is present, since the slice is infinite
-    otherwise.
+    otherwise.  Every exponent taken can still complete degree n.
     """
     if n < 0:
         return []
@@ -344,12 +349,29 @@ def basis_of_degree(gens, n, polybound=None):
     zbudget = polybound if has_zero else 0
     if zbudget < 0:
         return []
-    # an odometer over the exponent vector, not a recursion, so that no
-    # stack grows with the number of generators: rem[i] and zrem[i] are
-    # the degree and degree-0 budget left before position i, caps[i] the
-    # largest exponent position i may take given them
     degrees, odd = gens.degrees, gens.odd
     k = len(degrees)
+    # bit t of reach[i] is set when positions i..k-1 can add exactly
+    # degree t <= n: an odd generator adds 0 or d, an even one any multiple
+    # of d (closed under + d by doubling the shift), a degree-0 one nothing
+    reach = [1] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        r, d = reach[i + 1], degrees[i]
+        if d and odd[i]:
+            r |= r << d
+        elif d:
+            s = d
+            while s <= n:
+                r |= r << s
+                s *= 2
+        reach[i] = r & ((2 << n) - 1)
+    if not reach[0] >> n & 1:
+        return []
+    # an odometer over the exponent vector, not a recursion, so that no
+    # stack grows with the number of generators: rem[i] and zrem[i] are
+    # the degree and degree-0 budget left before position i.  Position i
+    # runs through the exponents whose remainder is in reach[i + 1], up to
+    # caps[i], the largest; a degree-0 position runs through 0..zrem[i]
     exps, caps = [0] * k, [0] * k
     rem = [n] * (k + 1)
     zrem = [zbudget] * (k + 1)
@@ -357,24 +379,36 @@ def basis_of_degree(gens, n, polybound=None):
     i = 0
     while True:
         while i < k:
-            d = degrees[i]
-            caps[i] = zrem[i] if d == 0 else (
-                min(1, rem[i] // d) if odd[i] else rem[i] // d)
-            exps[i] = 0
+            d, r = degrees[i], rem[i]
+            if d:
+                nxt, e = reach[i + 1], 0
+                while not nxt >> (r - e * d) & 1:
+                    e += 1
+                c = min(1, r // d) if odd[i] else r // d
+                while not nxt >> (r - c * d) & 1:
+                    c -= 1
+                exps[i], caps[i] = e, c
+                r -= e * d
+            else:
+                exps[i], caps[i] = 0, zrem[i]
             i += 1
-            rem[i], zrem[i] = rem[i - 1], zrem[i - 1]
-        if rem[k] == 0:
-            out.append(tuple(exps))
+            rem[i], zrem[i] = r, zrem[i - 1]
+        out.append(tuple(exps))
         # advance the rightmost position below its cap, reset the rest
         i = k - 1
         while i >= 0 and exps[i] == caps[i]:
             i -= 1
         if i < 0:
             return out
-        exps[i] += 1
-        if degrees[i]:
-            rem[i + 1] -= degrees[i]
+        d = degrees[i]
+        if d:
+            r, nxt, e = rem[i], reach[i + 1], exps[i] + 1
+            while not nxt >> (r - e * d) & 1:
+                e += 1
+            exps[i] = e
+            rem[i + 1] = r - e * d
         else:
+            exps[i] += 1
             zrem[i + 1] -= 1
         i += 1
 

@@ -65,12 +65,16 @@ class TwistedComplex:
         return n % (2 * self.period) if self.period else n
 
     def residue_basis(self, k):
-        """Monomials of total degree <= top whose degree folds to k's."""
-        out = []
-        for n in range(self.top + 1):
-            if self.fold(n) == self.fold(k):
-                out.extend(basis_of_degree(self.base.gens, n))
-        return out
+        """Monomials of total degree <= top whose degree folds to k's.
+
+        Only the degrees of that residue are enumerated: fold(k) and every
+        2r above it up to top, or k alone when r = 0 and 0 <= k <= top.
+        """
+        if self.period:
+            degrees = range(self.fold(k), self.top + 1, 2 * self.period)
+        else:
+            degrees = [k] if 0 <= k <= self.top else []
+        return [m for n in degrees for m in basis_of_degree(self.base.gens, n)]
 
     def __repr__(self):
         return "TwistedComplex(period=%d, twist=%s)" % (self.period, self.twist)

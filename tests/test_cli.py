@@ -582,6 +582,21 @@ def test_an_ignored_option_is_not_run(argv, capsys):
     assert "unrecognized arguments: --twist" in err
 
 
+@pytest.mark.parametrize("argv, full", [
+    (["cohomology", "--max", "3", "corpus:s2"],
+     ["cohomology", "--max-degree", "3", "corpus:s2"]),
+    (["twisted-cohomology", "--t", "H", "corpus:t3"],
+     ["twisted-cohomology", "--twist", "H", "corpus:t3"]),
+    (["cohomology", "--js", "corpus:s2"], ["cohomology", "--json", "corpus:s2"]),
+])
+def test_an_abbreviated_option_exits_2(argv, full, capsys):
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: %s" % argv[1] in err
+    code, out, err = _run(full, capsys)
+    assert (code, err) == (0, "") and out
+
+
 @pytest.mark.parametrize("command, option", [
     (c, o) for c in _READS for o in _READS[c]])
 def test_an_option_the_command_reads_is_accepted(command, option):

@@ -194,6 +194,37 @@ def test_basis_of_degree_is_a_basis(degrees, n):
         gens.degrees, gens.odd, n)
 
 
+def _basis_by_product(degrees, n, polybound):
+    """Every exponent vector under its range, filtered by degree and by the
+    degree-0 budget, sorted: the slice without any pruning."""
+    ranges = [range(polybound + 1) if d == 0 else
+              range(2) if d % 2 else range(n // d + 1) for d in degrees]
+    return sorted(
+        e for e in itertools.product(*ranges)
+        if sum(x * d for x, d in zip(e, degrees)) == n
+        and sum(x for x, d in zip(e, degrees) if d == 0) <= polybound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=6), st.integers(0, 12),
+       st.integers(0, 3))
+def test_basis_of_degree_is_the_filtered_product(degrees, n, polybound):
+    gens = GeneratorSet([("g%d" % i, d) for i, d in enumerate(degrees)])
+    assert (basis_of_degree(gens, n, polybound)
+            == _basis_by_product(degrees, n, polybound))
+
+
+@pytest.mark.parametrize("degree, count, n, expected", [
+    (1, 40, 40, [(1,) * 40]),
+    (2, 30, 59, []),
+])
+def test_basis_of_degree_reaches_no_dead_leaf(degree, count, n, expected):
+    # 2^40 and 30^30 exponent vectors sit under the caps; only those that
+    # can still complete degree n are visited
+    gens = GeneratorSet([("g%d" % i, degree) for i in range(count)])
+    assert basis_of_degree(gens, n) == expected
+
+
 def test_basis_of_degree_needs_polybound_for_degree0():
     gens = GeneratorSet([("t0", 0), ("dt0", 1)])
     with pytest.raises(UnboundedSliceError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _dense_oracle
+from ratho import twisted_derham
 from ratho.cli import corpus
 from ratho.core_algebra import basis_of_degree
 from ratho.dgca import DGCA, apply_d, cohomology_dims
@@ -291,6 +292,44 @@ def test_degree_one_twist_not_periodic():
     assert twisted_cohomology_dims(C) == (0, 0)
     C0 = TwistedComplex(A, A.zero(), period=0)
     assert twisted_cohomology_dims(C0) == (1, 1)
+
+
+def _xc():
+    return DGCA([("x", 1), ("c", 2)])
+
+
+@pytest.mark.parametrize("build, dims", [
+    (lambda: TwistedComplex(_torus(), _torus().zero(), period=0),
+     (1, 3, 3, 1)),
+    (lambda: TwistedComplex(_torus(), _torus().gen("x")), (0, 0, 0, 0)),
+    (lambda: TwistedComplex(_xc(), _xc().gen("x"), truncation=5), (0,) * 6),
+    (lambda: TwistedComplex(_xc(), _xc().zero(), period=0, truncation=5),
+     (1,) * 6),
+    (lambda: TwistedComplex(DGCA([("w", 301)]), DGCA([("w", 301)]).zero(),
+                            period=0),
+     (1,) + (0,) * 300 + (1,)),
+])
+def test_period_zero_builds_one_basis_per_residue(monkeypatch, build, dims):
+    # at period 0 each residue is one degree, so its basis is one call, not
+    # a scan of every degree up to top
+    C = build()
+    calls, asked = [], []
+    original = twisted_derham.basis_of_degree
+
+    def counted(gens, n, *args, **kwargs):
+        calls.append(n)
+        return original(gens, n, *args, **kwargs)
+
+    def residue_basis(k, basis=C.residue_basis):
+        asked.append(k)
+        return basis(k)
+
+    monkeypatch.setattr(twisted_derham, "basis_of_degree", counted)
+    C.residue_basis = residue_basis
+    assert twisted_cohomology_dims(C) == dims
+    assert asked and calls == [k for k in asked if 0 <= k <= C.top]
+    # the grades next to the ends are empty, not a wrap-around
+    assert C.residue_basis(-1) == C.residue_basis(C.top + 1) == []
 
 
 # -- rank-only dimensions against the representative path ---------------------
