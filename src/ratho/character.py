@@ -43,7 +43,6 @@ coefficients demand.
 """
 
 import copy
-import functools
 import itertools
 import math
 from collections import namedtuple
@@ -52,6 +51,7 @@ from fractions import Fraction
 from .core_algebra import (
     AlgebraMorphism,
     Polynomial,
+    _rational,
     apply_morphism,
     gens_of,
     morphism_by_names,
@@ -60,7 +60,6 @@ from .dgca import (DGCA, _residuals, _slices, apply_d, is_chain_map,
                    is_exact, tensor)
 from .minimal_model import RelativeExtension, _relative_sullivan
 from .simplicial_forms import CylinderAlgebra, fiber_integrate
-from .twisted_derham import TwistedComplex
 from .chern_weil import inv_ring_sp2
 
 
@@ -410,25 +409,18 @@ class QuotientResult:
     form of one member per class, in first-seen order.  concordances
     counts the straight cylinders built within classes, each verified with
     its fiber-integrated witness re-checked; refusals counts the
-    differences across classes certified to have no primitive.  A line
-    result carries h_dim, the cohomology dimension; a twisted one carries
-    complex, the H-twisted complex (period 1) where each rep, a member's
-    summed odd forms, is a class; keys come from _family, not complex.
-    complex_ builds it when first read, so only then can it raise.
+    differences across classes certified to have no primitive.  Both
+    quotients set h_dim, the dimension of the cohomology the keys live in:
+    H^(n+1) of a line target, H^(2kmax+1) of target (x) Lambda(u) for the
+    h3 family.
     """
 
-    def __init__(self, classes, reps, concordances, refusals, h_dim=None,
-                 complex_=None):
+    def __init__(self, classes, reps, concordances, refusals, h_dim):
         self.classes = classes
         self.reps = reps
         self.concordances = concordances
         self.refusals = refusals
         self.h_dim = h_dim
-        self._complex = complex_
-
-    @functools.cached_property
-    def complex(self):
-        return None if self._complex is None else self._complex()
 
     @property
     def class_count(self):
@@ -458,7 +450,7 @@ def _lattice_classes(zero, lattice, polybound=None):
     order.
     """
     family = _family(zero, polybound)
-    lattice = [Fraction(v) for v in lattice]
+    lattice = [_rational(v, "lattice value") for v in lattice]
     coefficients, target = zero.coefficients, zero.target
     slices = _slices(target, polybound)
     partial = [zero.morphism.assignment]
@@ -540,7 +532,7 @@ def line_quotient(omega, n, lattice, polybound=None):
                for key, members in data.items()}
     return QuotientResult(classes, [m[0] for m in classes.values()],
                           concordances, refusals,
-                          h_dim=family.complex.dims(family.grade))
+                          family.complex.dims(family.grade))
 
 
 # -- the h3-twisted periodic family ------------------------------------------
@@ -569,8 +561,9 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     The data have twist h3 -> twist_form, which must be closed.  Through
     _lattice_classes each F(f_k) solves the bundle's own
     d f_k = h3 f_(k-2) up to lattice combinations of closed forms, and the
-    keys are classes of the lift into _family's algebra.  Each rep is a
-    member's summed odd forms.
+    keys are classes of the lift into _family's algebra, whose degree
+    2kmax+1 cohomology has dimension h_dim.  Each rep is a member's summed
+    odd forms.
     """
     bundle = twisted_ku_bundle(kmax)
     twist = FlatFormDatum(bundle.base, omega, {"h3": twist_form})
@@ -583,8 +576,8 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
     classes = {key: [T for T, _ in members] for key, members in data.items()}
     reps = [sum(map(members[0].image, family.names), omega.zero())
             for members in classes.values()]
-    return QuotientResult(classes, reps, concordances, refusals, complex_=(
-        lambda: TwistedComplex(omega, twist_form, period=1)))
+    return QuotientResult(classes, reps, concordances, refusals,
+                          family.complex.dims(family.grade))
 
 
 def decide_concordance(f0, f1, polybound=None):

@@ -452,7 +452,7 @@ def _cmd_line_quotient(args, name, A):
     return 0, result, witnesses, lines
 
 
-def _random_monomial(rng, gens, max_even_exp=2):
+def _random_monomial(rng, gens):
     names = list(gens.names)
     rng.shuffle(names)
     expo = {}
@@ -461,7 +461,7 @@ def _random_monomial(rng, gens, max_even_exp=2):
         if gens.degree_of(name) % 2 == 1:
             expo[name] = 1
         else:
-            expo[name] = rng.randint(1, max_even_exp)
+            expo[name] = rng.randint(1, 2)
     return gens.monomial(expo)
 
 

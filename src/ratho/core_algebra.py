@@ -45,10 +45,18 @@ class DegreeError(ValueError):
 
 
 def _integer(value, what):
-    """value if it is an int, else ValueError naming it; never truncates."""
-    if not isinstance(value, int):
+    """value if it is an int but not a bool, else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("%s %r is not an integer" % (what, value))
     return value
+
+
+def _rational(value, what):
+    """Fraction(value) for a non-bool int or a Fraction, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError("%s %r is not an integer or a Fraction"
+                         % (what, value))
+    return Fraction(value)
 
 
 class GeneratorSet:
@@ -94,7 +102,7 @@ class GeneratorSet:
         return self.constant(1)
 
     def constant(self, c):
-        c = Fraction(c)
+        c = _rational(c, "coefficient")
         if c == 0:
             return self.zero()
         unit = (0,) * len(self.gens)
@@ -123,7 +131,7 @@ class GeneratorSet:
                 raise ValueError("negative exponent")
             if odd and e > 1:
                 raise ValueError("odd generator squared")
-        c = Fraction(coeff)
+        c = _rational(coeff, "coefficient")
         return Polynomial(self, {m: c} if c else {})
 
     def monomial_degree(self, exps):
@@ -248,7 +256,7 @@ class Polynomial:
         return self._coerce(other).__mul__(self)
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError("exponent %r is not a nonnegative integer" % (k,))
         out = self.gens.one()
         for _ in range(k):
@@ -256,7 +264,7 @@ class Polynomial:
         return out
 
     def __truediv__(self, c):
-        return self * (Fraction(1) / Fraction(c))
+        return self * (Fraction(1) / _rational(c, "divisor"))
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):

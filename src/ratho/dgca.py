@@ -8,7 +8,10 @@ property (check_d_squared), not a constructor assumption.
 d has one kernel, _derive, which reads a derivation table (the terms of
 each nonzero d(x_i)).  apply_d is its Polynomial form and reads the table
 per call; _slices reads it once per complex and maps each basis monomial
-straight to its term dict (_d_row).
+straight to its term dict (_d_row).  _d_row is the one row builder of
+both finite complexes: its row is d(m) minus the twist's product H * m,
+with an empty twist for _slices and the twist's terms for
+twisted_derham._residues.
 
 Cohomology is computed degreewise on the finite complex of A's slices
 (_slices, a grading adapter over ratho._complex).  The rows of d are built
@@ -140,14 +143,20 @@ def _derive(gens, table, m, c, out):
                 out[right[1]] = out.get(right[1], 0) + term
 
 
-def _d_row(gens, table, m):
-    """d(m) of one canonical monomial as a term dict {monomial: Fraction}.
+def _d_row(gens, table, m, twist=()):
+    """d(m) - H * m of one canonical monomial: {monomial: Fraction}.
 
-    The per-monomial row of _slices: m is not validated, no Polynomial is
-    built and table is _derivation_table(A), read once per complex.
+    The per-monomial row of both grading adapters: m is not validated, no
+    Polynomial is built and table is _derivation_table(A), read once per
+    complex.  twist holds the terms (hm, hc) of H, each merged in as
+    -hc * hm * m; _slices passes none, so its row is d(m) alone.
     """
     out = {}
     _derive(gens, table, m, 1, out)
+    for hm, hc in twist:
+        r = normalize_product(gens, hm, m)
+        if r:
+            out[r[1]] = out.get(r[1], 0) - r[0] * hc
     return {k: v for k, v in out.items() if v}
 
 

@@ -25,7 +25,7 @@ generators of an extension where is_sullivan and is_minimal run on all.
 
 from fractions import Fraction
 
-from .core_algebra import DegreeError, GeneratorSet, _integer
+from .core_algebra import DegreeError, GeneratorSet, _integer, _rational
 from .dgca import DGCA, check_d_squared
 
 
@@ -64,7 +64,7 @@ class LInfinityStructure:
             for target, c in targets.items():
                 if target not in self.index:
                     raise ValueError("unknown bracket target %r" % (target,))
-                c = Fraction(c)
+                c = _rational(c, "bracket coefficient")
                 if not c:
                     continue
                 if self.degrees[target] != want:
@@ -163,7 +163,8 @@ def lie_algebra_brackets(names, constants):
             a, b, sign = b, a, -1
         row = table.setdefault((a, b), {})
         for target, c in targets.items():
-            row[target] = row.get(target, Fraction(0)) + sign * Fraction(c)
+            c = _rational(c, "structure constant")
+            row[target] = row.get(target, Fraction(0)) + sign * c
     return LInfinityStructure([(n, 0) for n in names], table)
 
 

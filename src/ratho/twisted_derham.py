@@ -10,14 +10,14 @@ full, untruncated images, boundaries only from witnesses inside the window.
 The linear algebra is ratho._complex's, with _residues as its grading
 adapter, so each residue's differential is built once per computation.
 _residues reads the base's derivation table and the twist's terms once per
-complex and maps each monomial straight to the term dict of d(m) - H*m;
-twisted_d is the Polynomial form of the same map.
+complex and maps each monomial through dgca._d_row, the row kernel of
+ordinary cohomology too, to the term dict of d(m) - H*m; twisted_d is the
+Polynomial form of the same map.
 """
 
 from ._complex import Complex
-from .core_algebra import (GeneratorSetMismatch, _integer, basis_of_degree,
-                           normalize_product)
-from .dgca import _derivation_table, _derive, apply_d
+from .core_algebra import GeneratorSetMismatch, _integer, basis_of_degree
+from .dgca import _d_row, _derivation_table, apply_d
 
 
 class TwistedComplex:
@@ -132,21 +132,6 @@ class TwistedSlice:
         return "<twisted H_%d dim %d%s>" % (self.residue, self.dim, flag)
 
 
-def _twisted_row(gens, table, twist, m):
-    """twisted_d of one canonical monomial as a term dict {monomial: Fraction}.
-
-    d(m) comes from the base's derivation table, the same kernel as
-    apply_d, and each twist term (hm, hc) merges in as -hc * hm * m.
-    """
-    out = {}
-    _derive(gens, table, m, 1, out)
-    for hm, hc in twist:
-        r = normalize_product(gens, hm, m)
-        if r:
-            out[r[1]] = out.get(r[1], 0) - r[0] * hc
-    return {k: v for k, v in out.items() if v}
-
-
 def _residues(C):
     """The finite complex of C's residues, truncation overflow kept.
 
@@ -158,8 +143,7 @@ def _residues(C):
     table = _derivation_table(C.base)
     twist = list(C.twist.terms.items())
     return Complex(gens, C.residue_basis, lambda k, s: C.fold(k + s),
-                   lambda m: _twisted_row(gens, table, twist, m),
-                   overflow=True)
+                   lambda m: _d_row(gens, table, m, twist), overflow=True)
 
 
 def twisted_cohomology(C):

@@ -386,7 +386,7 @@ def test_criterion_10_twisted_subsumption_bridge():
     xyz = t3.monomial({"x": 1, "y": 1, "z": 1})
     res = twisted_ku_quotient(t3, xyz, (0, 1))
     assert res.class_count == 8
-    C = res.complex
+    C = TwistedComplex(t3, xyz, period=1)
     odd = next(s for s in twisted_cohomology(C) if s.residue == 1)
     assert odd.dim == 3
     seen = set()

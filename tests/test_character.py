@@ -429,7 +429,7 @@ def test_twisted_ku_quotient_bridges_twisted_cohomology():
     assert res.concordances == 8
     assert res.refusals == 28
     # lattice spans of the odd twisted classes hit each class exactly once
-    C = res.complex
+    C = TwistedComplex(omega, H, period=1)
     odd = [s for s in twisted_cohomology(C) if s.residue == 1][0]
     assert odd.dim == 3
     seen = set()
@@ -442,6 +442,29 @@ def test_twisted_ku_quotient_bridges_twisted_cohomology():
         assert len(matches) == 1
         seen.add(matches[0])
     assert len(seen) == 8
+
+
+def _t3_xyz():
+    t3 = corpus.algebra("t3")
+    return t3, t3.monomial({"x": 1, "y": 1, "z": 1})
+
+
+def _ku1_h3():
+    A = corpus.algebra("ku1_h3")
+    return A, A.gen("h3")
+
+
+# h_dim is dim H^(2kmax+1) of the target with u, d u = -H: on t3 the odd
+# twisted dimension 3 at any kmax (the zero twist and a target with an even
+# generator are asserted with their decision tests)
+@pytest.mark.parametrize("target, lattice, kmax, h_dim", [
+    (_t3_xyz, (-1, 0, 1), 1, 3), (_t3_xyz, (-1, 0, 1), 4, 3),
+    (_ku1_h3, (0, 1), 1, 1)], ids=["t3_kmax1", "t3_kmax4", "ku1_h3"])
+def test_twisted_ku_quotient_reports_h_dim(target, lattice, kmax, h_dim):
+    omega, H = target()
+    res = twisted_ku_quotient(omega, H, lattice, kmax=kmax)
+    assert res.h_dim == h_dim
+    assert res.class_count == len(lattice) ** h_dim
 
 
 def test_twisted_ku_quotient_solves_each_level_one_degree_up():
@@ -470,13 +493,12 @@ def test_twisted_ku_quotient_refuses_a_twist_that_is_not_closed():
 
 def test_twisted_ku_quotient_decides_targets_with_even_generators():
     # TwistedComplex needs a truncation on this target and the decision
-    # does not, so the result's complex is built, and refused, when read
+    # does not: the keys live in H^3 of T (x) Lambda(u), of dimension 6
     T = DGCA([("x", 1), ("y", 1), ("z", 1), ("b", 2)])
     H = T.monomial({"x": 1, "y": 1, "z": 1})
     res = twisted_ku_quotient(T, H, (0, 1), kmax=1)
     assert (res.class_count, res.concordances, res.refusals) == (64, 64, 125)
-    with pytest.raises(ValueError, match="need a total-degree truncation"):
-        res.complex
+    assert res.h_dim == 6
     data = [(key, d) for key, members in res.classes.items() for d in members]
     rng = random.Random(17)
     pairs = [list(members) for members in res.classes.values()]
@@ -824,7 +846,7 @@ def test_decide_concordance_with_zero_twist():
     assert ccd is not None and verify_concordance(ccd).passed
     res = twisted_ku_quotient(t3, zero, (0, 1), kmax=1)
     assert (res.class_count, res.concordances, res.refusals) == (16, 0, 120)
-    assert res.complex.period == 1 and res.complex.twist.is_zero()
+    assert res.h_dim == 4
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,11 @@ from ratho.core_algebra import (
     morphism_by_names,
     normalize_product,
 )
+from ratho.character import line_quotient
+from ratho.dgca import DGCA
+from ratho.linfty import LInfinityStructure, lie_algebra_brackets
+from ratho.simplicial_forms import SimplexAlgebra
+from ratho.twisted_derham import TwistedComplex
 
 
 def _exps(gens, name):
@@ -316,3 +322,48 @@ def test_morphism_by_names_overrides():
         "t0": tgt.one(), "dt0": tgt.zero()})
     p = src.gen("t0") * src.gen("w3")
     assert apply_morphism(ev1, p) == tgt.gen("w3")
+
+
+def _xyz():
+    return GeneratorSet([("x", 1), ("y", 2), ("z", 3)])
+
+
+def _truncated_complex(truncation):
+    A = DGCA([("x", 1), ("b", 2)])
+    return TwistedComplex(A, A.gen("x"), truncation=truncation)
+
+
+# a bool is an int to isinstance, but never a degree, exponent or size
+@pytest.mark.parametrize("build", [
+    lambda: GeneratorSet([("x", True)]),
+    lambda: _xyz().from_exponents((True, 0, 0)),
+    lambda: _xyz().monomial({"y": True}),
+    lambda: _xyz().gen("y") ** True,
+    lambda: SimplexAlgebra(True),
+    lambda: _truncated_complex(True),
+    lambda: LInfinityStructure([("a", False)], {}),
+], ids=["degree", "exponent", "monomial", "power", "simplex", "truncation",
+        "linfty_degree"])
+def test_a_bool_is_not_an_integer(build):
+    with pytest.raises(ValueError, match="True|False"):
+        build()
+
+
+# coefficients are exact: a float, string or Decimal is refused, never
+# read as the binary fraction Fraction(0.1) would make of it
+@pytest.mark.parametrize("value", [0.1, 0.5, "1/2", Decimal("0.5"), True],
+                         ids=["float", "half", "str", "decimal", "bool"])
+@pytest.mark.parametrize("build", [
+    lambda v: _xyz().constant(v),
+    lambda v: _xyz().monomial({"x": 1}, v),
+    lambda v: _xyz().from_exponents((0, 1, 0), coeff=v),
+    lambda v: _xyz().gen("y") / v,
+    lambda v: line_quotient(corpus.algebra("t3"), 0, [v, 0]),
+    lambda v: LInfinityStructure([("a", 0), ("b", 0), ("c", 0)],
+                                 {("a", "b"): {"c": v}}),
+    lambda v: lie_algebra_brackets(["a", "b", "c"], {("a", "b"): {"c": v}}),
+], ids=["constant", "monomial", "from_exponents", "divide", "lattice",
+        "bracket", "structure_constant"])
+def test_a_coefficient_must_be_an_int_or_a_fraction(build, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        build(value)

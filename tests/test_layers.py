@@ -5,10 +5,11 @@ for code no test runs.  Elimination reaches the rest of ratho only through
 Complex (homology, image, primitive, class_key), and the echelon of
 boundaries stays private to it.
 
-Concordance has one decision route: the residue complex of twisted de
-Rham cohomology (_residues, _twisted_row) stays inside twisted_derham.py,
-and a decidable family (character._Family) carries no differential of its
-own: witnesses are checked with apply_d on the family's algebra.
+Concordance has one decision route: character.py imports nothing from
+twisted_derham.py, the residue complex of twisted de Rham cohomology
+(_residues) stays inside twisted_derham.py, and a decidable family
+(character._Family) carries no differential of its own: witnesses are
+checked with apply_d on the family's algebra.
 
 The layers perfbench/tracer.py wraps must exist too: each LAYERS path
 resolves to a function the way Tracer.install looks it up, so removing or
@@ -26,13 +27,14 @@ MODULES = sorted(SRC.rglob("*.py"))
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 
-def _imports_linalg(node):
+def _imports(node, target):
+    """Whether node imports the ratho module target, or a name from it."""
     if isinstance(node, ast.Import):
-        return any(a.name.split(".")[-1] == "_linalg" for a in node.names)
+        return any(a.name.split(".")[-1] == target for a in node.names)
     if isinstance(node, ast.ImportFrom):
         module = node.module or ""
-        return (module.split(".")[-1] == "_linalg"
-                or any(a.name == "_linalg" for a in node.names))
+        return (module.split(".")[-1] == target
+                or any(a.name == target for a in node.names))
     return False
 
 
@@ -47,7 +49,7 @@ def _calls_echelon(node):
 def test_only_complex_uses_linalg(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     nodes = list(ast.walk(tree))
-    importers = [n.lineno for n in nodes if _imports_linalg(n)]
+    importers = [n.lineno for n in nodes if _imports(n, "_linalg")]
     if path.name == "_complex.py":
         assert importers
         return
@@ -56,7 +58,7 @@ def test_only_complex_uses_linalg(path):
     assert not calls, "%s calls .echelon( at lines %s" % (path, calls)
 
 
-_TWISTED_ONLY = ("_residues", "_twisted_row")
+_TWISTED_ONLY = ("_residues",)
 
 
 def _names(tree):
@@ -79,6 +81,14 @@ def test_only_twisted_derham_uses_the_residue_complex(path):
     uses = [(line, name) for line, name in _names(tree)
             if name in _TWISTED_ONLY]
     assert not uses, "%s references %s" % (path, uses)
+
+
+def test_character_imports_nothing_from_twisted_derham():
+    tree = ast.parse((SRC / "character.py").read_text(encoding="utf-8"))
+    importers = [n.lineno for n in ast.walk(tree)
+                 if _imports(n, "twisted_derham")]
+    assert not importers, ("character.py imports twisted_derham at lines %s"
+                           % importers)
 
 
 def test_families_carry_no_differential():
