@@ -1,95 +1,135 @@
-"""Sparse exact linear algebra over Fraction.
+"""Sparse exact linear algebra over Fraction, eliminated on integers.
 
 A vector is a sparse row: a ``{column: value}`` dict that holds only
 nonzero entries.  A matrix is a sequence of such rows.  Every function here
-takes and returns sparse rows, so elimination costs what the nonzeros cost
-rather than what the shape costs: the matrices ratho builds are almost
-entirely zero.  The private helpers reduce rows in place; the public
-functions never mutate their arguments, since callers hand in rows they
-keep (ratho._complex memoizes the rows of d), and eliminate on copies.
+takes and returns sparse rows of Fractions, so elimination costs what the
+nonzeros cost rather than what the shape costs: the matrices ratho builds
+are almost entirely zero.  The private helpers reduce rows in place; the
+public functions never mutate their arguments, since callers hand in rows
+they keep (ratho._complex memoizes the rows of d), and eliminate on copies.
 
-Every pivot is the lowest nonzero column of its row and pivot rows are
-monic.  _rref reduces them fully, which gives the reduced row echelon form;
-that form is unique for a row space, and so is the residual of a vector
-modulo a span once it is zero on every pivot column.  Every result here,
-and every representative or witness built from one, is therefore the same
-as Gauss-Jordan elimination on full matrices gives, in whatever order the
-rows are eliminated.
+Inside, elimination is fraction-free.  Each row that comes in is cleared
+of its denominators into a row of ints; a row is reduced against a pivot
+row by cross-multiplying, a*v - b*row, with a/b the two entries in the
+pivot column in lowest terms; and a pivot row is kept primitive: divided
+by the gcd of its entries, with a positive lead.  Most entries of the
+matrices ratho builds are +-1 over denominators 1, 2 and 4, so the ints
+stay small, and no elimination step makes a Fraction.
+
+Every pivot is the lowest nonzero column of its row.  _rref reduces the
+pivot rows fully, which gives the reduced row echelon form up to one
+positive factor per row; that form is unique for a row space, and so is
+the residual of a vector modulo a span once it is zero on every pivot
+column, up to the factor _reduce reports.  So dividing at the boundary,
+each row by its lead and each residual by its factor, gives Fractions that
+are the same as Gauss-Jordan elimination on full Fraction matrices gives,
+in whatever order the rows are eliminated; and so is every representative
+or witness built from one.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 ONE = Fraction(1)
 
 
-def _reduce(pivots, v):
-    """Make the sparse row v zero on every pivot column, in place.
+def _integer(v):
+    """(w, D): the sparse row v is w / D, w a new row of ints and D the
+    lcm of v's denominators."""
+    D = lcm(*[x.denominator for x in v.values()])
+    return {c: x.numerator * (D // x.denominator) for c, x in v.items()}, D
 
-    pivots maps each pivot column to its monic row, whose lowest column it
-    is.  Rows are used lowest pivot first, so a row may still carry entries
-    on higher pivot columns: those are cleared when their turn comes.
+
+def _reduce(pivots, v):
+    """Make the integer row v zero on every pivot column, in place.
+
+    pivots maps each pivot column to its primitive row, whose lowest
+    column it is.  Rows are used lowest pivot first, so a row may still
+    carry entries on higher pivot columns: those are cleared when their
+    turn comes.  Clearing column pc sets v to a*v - b*row, where a/b is
+    row[pc] / v[pc] in lowest terms.  Returns (v, scale) with scale the
+    product of the a's: scale times the v given, minus an integer
+    combination of pivot rows, is the v returned.
     """
     heap = [c for c in v if c in pivots]
     heapify(heap)
+    scale = 1
     while heap:
         pc = heappop(heap)
-        f = v.get(pc)
-        if f is None:
+        y = v.get(pc)
+        if y is None:
             continue
-        for c, x in pivots[pc].items():
-            y = v.get(c)
-            if y is None:
-                v[c] = -f * x
+        row = pivots[pc]
+        lead = row[pc]
+        g = gcd(lead, y)
+        a, b = lead // g, y // g
+        if a != 1:
+            scale *= a
+            for c in v:
+                v[c] *= a
+        for c, x in row.items():
+            z = v.get(c)
+            if z is None:
+                v[c] = -b * x
                 if c in pivots:
                     heappush(heap, c)
             else:
-                y -= f * x
-                if y:
-                    v[c] = y
+                z -= b * x
+                if z:
+                    v[c] = z
                 else:
                     del v[c]
-    return v
+    return v, scale
 
 
 def _insert(pivots, v):
-    """Add the reduced nonzero row v to pivots, scaled to be monic."""
+    """Add the reduced nonzero integer row v to pivots, divided by its
+    content and signed so that its lead is positive; return its pivot."""
     pc = min(v)
-    inv = ONE / v[pc]
-    row = pivots[pc] = {c: x * inv for c, x in v.items()}
-    return row
+    g = gcd(*v.values())
+    if v[pc] < 0:
+        g = -g
+    pivots[pc] = {c: x // g for c, x in v.items()} if g != 1 else v
+    return pc
+
+
+def _monic(row, pc):
+    """The Fractions of the integer row divided by its lead, at pc."""
+    lead = row[pc]
+    return {c: Fraction(x, lead) for c, x in row.items()}
 
 
 def _echelon(rows):
-    """Monic echelon rows spanning the given rows, by pivot column."""
+    """Primitive echelon rows spanning the given rows, by pivot column."""
     pivots = {}
-    for v in rows:
-        if _reduce(pivots, v):
+    for r in rows:
+        v = _reduce(pivots, _integer(r)[0])[0]
+        if v:
             _insert(pivots, v)
     return pivots
 
 
 def _rref(rows):
-    """Reduced row echelon form of the given rows, by pivot column."""
+    """Reduced row echelon form of the given rows, monic, by pivot column."""
     pivots = _echelon(rows)
     # from the highest pivot down, each row is reduced against rows that
     # are already fully reduced, so no reduction spills into another
     for pc in sorted(pivots, reverse=True):
-        row = pivots.pop(pc)
-        pivots[pc] = _reduce(pivots, row)
-    return pivots
+        _insert(pivots, _reduce(pivots, pivots.pop(pc))[0])
+    return {pc: _monic(row, pc) for pc, row in pivots.items()}
 
 
 def rref(rows):
     """Reduced row echelon form: (reduced rows, their pivot columns)."""
-    pivots = _rref(dict(r) for r in rows)
+    pivots = _rref(rows)
     order = sorted(pivots)
     return [pivots[pc] for pc in order], order
 
 
 def sparse_rank(rows):
     """Rank of sparse rows."""
-    return len(_echelon(dict(r) for r in rows))
+    return len(_echelon(rows))
 
 
 def transpose(rows):
@@ -107,7 +147,7 @@ def nullspace(rows, ncols):
     One basis vector per free column, with that free coordinate set to 1;
     ordered by increasing free-column index.
     """
-    pivots = _rref(dict(r) for r in rows)
+    pivots = _rref(rows)
     basis = {c: {c: ONE} for c in range(ncols) if c not in pivots}
     # in a fully reduced row every entry off the pivot is in a free column
     for pc, row in pivots.items():
@@ -135,13 +175,13 @@ def solve(rows, rhs):
 
 
 class Echelon:
-    """Incremental echelon basis with monic pivots, for span membership.
+    """Incremental echelon basis, for span membership.
 
-    Each pivot is the lowest column of its row.  reduce() returns the
-    residual of a vector modulo the span, which is empty exactly when the
-    vector lies in it.  add() also adds that residual, made monic, to the
-    basis and returns its (column, value) pairs: none when the vector was
-    already in the span.
+    Each pivot is the lowest column of its row, kept as a primitive
+    integer row.  reduce() returns the residual of a vector modulo the
+    span, in Fractions, which is empty exactly when the vector lies in it.
+    add() also adds that residual to the basis and returns its monic
+    (column, value) pairs: none when the vector was already in the span.
     """
 
     def __init__(self):
@@ -152,11 +192,17 @@ class Echelon:
         return len(self._pivots)
 
     def reduce(self, vec):
-        return _reduce(self._pivots, dict(vec))
+        w, D = _integer(vec)
+        v, scale = _reduce(self._pivots, w)
+        D *= scale
+        return {c: Fraction(x, D) for c, x in v.items()}
 
     def add(self, vec):
-        v = _reduce(self._pivots, dict(vec))
-        return list(_insert(self._pivots, v).items()) if v else []
+        v = _reduce(self._pivots, _integer(vec)[0])[0]
+        if not v:
+            return []
+        pc = _insert(self._pivots, v)
+        return list(_monic(self._pivots[pc], pc).items())
 
 
 def intersect_with_coordinate_subspace(vectors, allowed, ncols):

@@ -243,7 +243,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _rational(other, "scalar")
             return Polynomial(self.gens,
                               {m: c * v for m, v in self.terms.items()})
         other = self._coerce(other)
@@ -282,6 +282,9 @@ class Polynomial:
         return not self.terms
 
     def __eq__(self, other):
+        # a bool is no scalar (see _rational), so it equals no Polynomial
+        if isinstance(other, bool):
+            return False
         if isinstance(other, (int, Fraction)):
             other = self.gens.constant(other)
         return (isinstance(other, Polynomial) and self.gens == other.gens

@@ -349,6 +349,32 @@ def test_a_bool_is_not_an_integer(build):
         build()
 
 
+# a bool scalar is refused by products as by sums, on either side
+@pytest.mark.parametrize("build", [
+    lambda y, b: y * b,
+    lambda y, b: b * y,
+    lambda y, b: y + b,
+    lambda y, b: b - y,
+], ids=["mul", "rmul", "add", "rsub"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_not_a_scalar(build, value):
+    with pytest.raises(ValueError, match=repr(value)):
+        build(_xyz().gen("y"), value)
+
+
+# so == answers False for a bool instead of raising, even where the int
+# it stands for would compare equal
+@pytest.mark.parametrize("p", [
+    lambda g: g.one(), lambda g: g.zero(), lambda g: g.gen("y")],
+    ids=["one", "zero", "y"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_polynomial_never_equals_a_bool(p, value):
+    p = p(_xyz())
+    assert not p == value and not value == p
+    assert p != value and value != p
+    assert (p == int(value)) is (p - int(value)).is_zero()
+
+
 # coefficients are exact: a float, string or Decimal is refused, never
 # read as the binary fraction Fraction(0.1) would make of it
 @pytest.mark.parametrize("value", [0.1, 0.5, "1/2", Decimal("0.5"), True],

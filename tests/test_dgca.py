@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,35 @@ def test_cohomology_even_sphere():
 def test_cohomology_cp3():
     dims = cohomology_dims(_cp(3), (0, 8))
     assert dims == {n: (1 if n in (0, 2, 4, 6) else 0) for n in range(9)}
+
+
+def _heisenberg(lambdas):
+    """CE algebra of the Heisenberg Lie algebra of dimension 2k + 1, with
+    d c = sum lambda_i a_i b_i."""
+    k = len(lambdas)
+    g = DGCA([("a%d" % i, 1) for i in range(k)]
+             + [("b%d" % i, 1) for i in range(k)] + [("c", 1)]).gens
+    dc = g.zero()
+    for i, lam in enumerate(lambdas):
+        dc = dc + lam * g.gen("a%d" % i) * g.gen("b%d" % i)
+    return DGCA(g, {"c": dc})
+
+
+def _heisenberg_betti(k, j):
+    """C(2k, j) - C(2k, j - 2) up to degree k, then Poincare duality."""
+    if j > k:
+        return _heisenberg_betti(k, 2 * k + 1 - j)
+    return comb(2 * k, j) - (comb(2 * k, j - 2) if j >= 2 else 0)
+
+
+# rescaling a_i makes every lambda_i 1, so the Betti numbers are those of
+# the standard algebra; with magnitudes 1 and 2 the rows of d have entries
+# +-1 and +-2, and elimination meets pivots that are not units
+@pytest.mark.parametrize("lambdas", [(1, -2, 2, -1, 1, -2),
+                                     (-2, 2, 2, -2, 1, 2)])
+def test_cohomology_dims_of_heisenberg_13(lambdas):
+    dims = cohomology_dims(_heisenberg(lambdas), (0, 13))
+    assert dims == {j: _heisenberg_betti(6, j) for j in range(14)}
 
 
 def test_is_exact_in_twistor_cofiber():

@@ -3,9 +3,13 @@
 Reduced row echelon form is unique, so on every input the sparse kernel
 must return exactly what dense Gauss-Jordan elimination returns, not just
 something equivalent.  Matrices are mostly zero, like the ones ratho
-builds, and include all-zero rows and columns and empty shapes.  The kernel
-takes and returns sparse rows ({column: value}, no zero entries); the tests
-draw dense matrices for the oracle and convert at this boundary.
+builds, and include all-zero rows and columns and empty shapes.  Entries
+are small, like ratho's, or have numerators and denominators up to 10^6,
+and some matrices get extra rows that are rational combinations of drawn
+ones, so the kernel's integer rows grow, lose their content and cancel to
+zero.  The kernel takes and returns sparse rows ({column: value}, no zero
+entries) of Fractions; the tests draw dense matrices for the oracle and
+convert at this boundary.
 """
 
 import copy
@@ -17,8 +21,18 @@ import _dense_oracle as dense
 from ratho import _linalg as sparse
 
 ZERO = Fraction(0)
-_NONZERO = st.builds(Fraction, st.integers(-3, 3).filter(bool),
-                     st.integers(1, 3))
+_WIDE = 10 ** 6
+_NONZERO = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-_WIDE, _WIDE).filter(bool),
+              st.integers(1, _WIDE)))
+_COEFF = st.one_of(st.just(ZERO), _NONZERO)
+
+
+def _combination(coeffs, rows, ncols):
+    """The dense vector sum(c * row) over ncols columns."""
+    return [sum((c * row[j] for c, row in zip(coeffs, rows)), ZERO)
+            for j in range(ncols)]
 
 
 def _sparse(vec):
@@ -52,7 +66,8 @@ def _vector(draw, ncols, max_nonzero):
 
 @st.composite
 def _matrix(draw, ncols=None):
-    """(rows, ncols): dense rows with some rows and columns forced to 0."""
+    """(rows, ncols): dense rows with some rows and columns forced to 0,
+    and up to 3 rows inserted that depend on the others."""
     if ncols is None:
         ncols = draw(st.integers(0, 9))
     nrows = draw(st.integers(0, 9))
@@ -65,6 +80,10 @@ def _matrix(draw, ncols=None):
     if nrows:
         for r in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
             rows[r] = [ZERO] * ncols
+        for _ in range(draw(st.integers(0, 3))):
+            coeffs = [draw(_COEFF) for _ in rows]
+            rows.insert(draw(st.integers(0, len(rows))),
+                        _combination(coeffs, rows, ncols))
     return rows, ncols
 
 
@@ -74,10 +93,8 @@ def _system(draw):
     rows, ncols = draw(_matrix())
     if draw(st.booleans()):
         return rows, draw(_vector(ncols, 4))
-    coeffs = [Fraction(draw(st.integers(-2, 2))) for _ in rows]
-    rhs = [sum((c * row[j] for c, row in zip(coeffs, rows)), ZERO)
-           for j in range(ncols)]
-    return rows, rhs
+    coeffs = [draw(_COEFF) for _ in rows]
+    return rows, _combination(coeffs, rows, ncols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -126,8 +143,7 @@ def test_solve_matches_dense(system):
         return
     x = _dense(x, len(rows))
     assert x == want
-    assert [sum((c * row[j] for c, row in zip(x, rows)), ZERO)
-            for j in range(len(rhs))] == rhs
+    assert _combination(x, rows, len(rhs)) == rhs
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,3 +199,32 @@ def test_entry_points_leave_their_input_unchanged(case):
         before = copy.deepcopy((rows, probes, rhs, allowed))
         call()
         assert (rows, probes, rhs, allowed) == before
+
+
+def _values(result):
+    """Every value in a sparse row, a list of them or a list of pairs."""
+    if isinstance(result, dict):
+        return list(result.values())
+    return [x for item in result
+            for x in (item.values() if isinstance(item, dict) else item[1:])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(_matrix(n), _matrix(n), _system(),
+                        st.sets(st.integers(0, max(n - 1, 0))))))
+def test_entry_points_return_nonzero_fractions(case):
+    """The kernel eliminates on ints; what leaves it is a nonzero Fraction,
+    since Polynomial takes the values it is given without a type check."""
+    (rows, ncols), (probes, _), (srows, rhs), allowed = case
+    rows, probes = _sparse_rows(rows), _sparse_rows(probes)
+    allowed = {c for c in allowed if c < ncols}
+    ech = sparse.Echelon()
+    results = [sparse.rref(rows)[0], sparse.nullspace(rows, ncols),
+               sparse.solve(_sparse_rows(srows), _sparse(rhs)) or {},
+               sparse.intersect_with_coordinate_subspace(rows, allowed,
+                                                         ncols)]
+    results += [ech.add(v) for v in rows + probes]
+    results += [ech.reduce(v) for v in rows + probes]
+    for result in results:
+        assert all(type(x) is Fraction and x for x in _values(result))
