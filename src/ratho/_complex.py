@@ -32,9 +32,10 @@ order, the representatives new modulo the boundaries plus the span of
 vectors.  homology(k) is computed first, so slice errors come in its
 order.  No other module calls ratho._linalg.
 
-Each basis, each monomial's row of d and each grade's homology is built
-once per instance, on first use.  An instance serves one computation: the objects it reads
-(DGCA.d in particular) are mutable, so nothing is kept on them.
+Each basis, each monomial's row of d, each grade's boundary echelon and
+each grade's homology is built once per instance, on first use.  An
+instance serves one computation: the objects it reads (DGCA.d in
+particular) are mutable, so nothing is kept on them.
 
 Vectors over basis(k), the rows of d among them, are sparse rows
 {position: coefficient}, the one vector format of ratho._linalg, and the
@@ -51,11 +52,11 @@ from .core_algebra import Polynomial
 ZERO = Fraction(0)
 LEAVES = "element leaves the truncated slice"
 
-# kernel and boundaries are sparse rows over basis(k); for each new class,
-# representatives holds the cocycle reduced modulo the boundaries and the
-# classes before it, cocycles the kernel vector it came from
-Homology = namedtuple("Homology",
-                      "kernel boundaries representatives cocycles")
+# kernel is a basis of the cocycles as sparse rows over basis(k), dim is
+# dim H^k; for each new class, representatives holds the cocycle reduced
+# modulo the boundaries and the classes before it, cocycles the kernel
+# vector it came from
+Homology = namedtuple("Homology", "kernel dim representatives cocycles")
 
 
 def _once(method):
@@ -154,37 +155,34 @@ class Complex:
                                            len(rows))]
 
     @_once
-    def boundaries(self, k):
-        """Basis of the boundaries inside the window, over basis(k)."""
+    def _bounds(self, k):
+        """Echelon of the boundaries inside the window; never added to."""
         rows, ncols = self._incoming(k)
-        return _linalg.intersect_with_coordinate_subspace(
-            rows, set(self.window(k)), ncols)
-
-    def _echelon(self, k):
-        """A new Echelon spanned by the boundaries of grade k."""
         ech = _linalg.Echelon()
-        for v in self.boundaries(k):
+        for v in _linalg.intersect_with_coordinate_subspace(
+                rows, set(self.window(k)), ncols):
             ech.add(v)
         return ech
 
     @_once
     def homology(self, k):
-        """Kernel, boundaries and one canonical class per new cocycle."""
+        """Kernel, dim H^k and one canonical class per new cocycle."""
         kernel = self.kernel(k)
-        ech = self._echelon(k)
+        bounds = self._bounds(k)
+        ech = bounds.copy()
         reps, cocycles = [], []
         for v in kernel:
             r = ech.add(v)
             if r:
-                reps.append(self.poly(k, dict(r)))
+                reps.append(self.poly(k, r))
                 cocycles.append(self.poly(k, v))
-        return Homology(kernel, self.boundaries(k), reps, cocycles)
+        return Homology(kernel, len(kernel) - bounds.dim, reps, cocycles)
 
     def image(self, k, vectors):
         """(relations, cokernel) of R^m -> H^k, e_i -> [vectors[i]]; see
         "Maps into cohomology" above."""
         reps = self.homology(k).representatives
-        ech = self._echelon(k)
+        ech = self._bounds(k).copy()
         resid = [ech.reduce(v) for v in vectors]
         # a list, so that every residual is added; if each is new, the
         # residuals are independent and there is no relation
@@ -206,13 +204,9 @@ class Complex:
         x = _linalg.solve(rows, target)
         return None if x is None else self.poly(self._shift(k, -1), x)
 
-    @_once
-    def _key_echelon(self, k):
-        return self._echelon(k)
-
     def class_key(self, k, p):
         """Canonical key of p's class: its residue modulo the boundaries."""
-        r = self._key_echelon(k).reduce(self.vector(k, p))
+        r = self._bounds(k).reduce(self.vector(k, p))
         return tuple(r.get(i, ZERO) for i in range(len(self.basis(k))))
 
     def vector(self, k, p):

@@ -111,20 +111,20 @@ def _echelon(rows):
 
 
 def _rref(rows):
-    """Reduced row echelon form of the given rows, monic, by pivot column."""
+    """Reduced row echelon form of rows, as primitive rows by pivot column."""
     pivots = _echelon(rows)
     # from the highest pivot down, each row is reduced against rows that
     # are already fully reduced, so no reduction spills into another
     for pc in sorted(pivots, reverse=True):
         _insert(pivots, _reduce(pivots, pivots.pop(pc))[0])
-    return {pc: _monic(row, pc) for pc, row in pivots.items()}
+    return pivots
 
 
 def rref(rows):
     """Reduced row echelon form: (reduced rows, their pivot columns)."""
     pivots = _rref(rows)
     order = sorted(pivots)
-    return [pivots[pc] for pc in order], order
+    return [_monic(pivots[pc], pc) for pc in order], order
 
 
 def sparse_rank(rows):
@@ -153,7 +153,7 @@ def nullspace(rows, ncols):
     for pc, row in pivots.items():
         for c, x in row.items():
             if c != pc:
-                basis[c][pc] = -x
+                basis[c][pc] = Fraction(-x, row[pc])
     return list(basis.values())
 
 
@@ -171,7 +171,8 @@ def solve(rows, rhs):
     pivots = _rref(transpose(list(rows) + [rhs]).values())
     if nvec in pivots:
         return None
-    return {pc: row[nvec] for pc, row in pivots.items() if nvec in row}
+    return {pc: Fraction(row[nvec], row[pc])
+            for pc, row in pivots.items() if nvec in row}
 
 
 class Echelon:
@@ -180,12 +181,18 @@ class Echelon:
     Each pivot is the lowest column of its row, kept as a primitive
     integer row.  reduce() returns the residual of a vector modulo the
     span, in Fractions, which is empty exactly when the vector lies in it.
-    add() also adds that residual to the basis and returns its monic
-    (column, value) pairs: none when the vector was already in the span.
+    add() also adds that residual to the basis and returns it monic, as a
+    sparse row: empty when the vector was already in the span.  copy()
+    shares the pivot rows: reduce() and add() never change a stored row.
     """
 
     def __init__(self):
         self._pivots = {}
+
+    def copy(self):
+        ech = Echelon()
+        ech._pivots = dict(self._pivots)
+        return ech
 
     @property
     def dim(self):
@@ -200,9 +207,9 @@ class Echelon:
     def add(self, vec):
         v = _reduce(self._pivots, _integer(vec)[0])[0]
         if not v:
-            return []
+            return {}
         pc = _insert(self._pivots, v)
-        return list(_monic(self._pivots[pc], pc).items())
+        return _monic(self._pivots[pc], pc)
 
 
 def intersect_with_coordinate_subspace(vectors, allowed, ncols):
@@ -214,5 +221,5 @@ def intersect_with_coordinate_subspace(vectors, allowed, ncols):
     """
     pivots = _rref({c + ncols if c in allowed else c: x
                     for c, x in v.items()} for v in vectors)
-    return [{c - ncols: x for c, x in pivots[pc].items()}
+    return [{c - ncols: x for c, x in _monic(pivots[pc], pc).items()}
             for pc in sorted(pivots) if pc >= ncols]

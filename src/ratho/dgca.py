@@ -252,8 +252,7 @@ def cohomology(A, degrees, polybound=None):
     out = []
     for n in range(lo, hi + 1):
         h = cx.homology(n)
-        out.append(CohomologySlice(n, len(h.kernel) - len(h.boundaries),
-                                   h.representatives))
+        out.append(CohomologySlice(n, h.dim, h.representatives))
     return out
 
 

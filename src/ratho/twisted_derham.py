@@ -153,8 +153,7 @@ def twisted_cohomology(C):
     for k in C.residues():
         h = cx.homology(k)
         reps = [TwistedClass(C, p, residue=k) for p in h.cocycles]
-        out.append(TwistedSlice(k, len(h.kernel) - len(h.boundaries), reps,
-                                not C.finite))
+        out.append(TwistedSlice(k, h.dim, reps, not C.finite))
     return out
 
 

@@ -219,6 +219,30 @@ def test_image_matches_dense_oracle(phi):
                 == oracle.rank(spanned) + len(cokernel))
 
 
+# the image cases with a degree below 9 that has both boundaries and classes
+@pytest.mark.parametrize("phi", [
+    c for c in _image_maps()
+    if c.id.endswith(("twistor", "heis3", "ku1_h3"))])
+def test_image_and_homology_leave_the_boundary_echelon(phi):
+    """image and homology grow copies of a grade's boundary echelon, so
+    class_key after them keys as a fresh Complex does."""
+    source = _slices(phi.source, None)
+    used, fresh = _slices(phi.target, None), _slices(phi.target, None)
+    checked = 0
+    for k in range(9):
+        vectors = [used.vector(k, apply_morphism(phi, p))
+                   for p in source.homology(k).representatives]
+        used.image(k, vectors)
+        h = used.homology(k)
+        probes = (h.representatives + h.cocycles
+                  + [used.poly(k, v) for v in vectors])
+        assert ([used.class_key(k, p) for p in probes]
+                == [fresh.class_key(k, p) for p in probes])
+        assert used._bounds(k).dim == fresh._bounds(k).dim
+        checked += bool(h.representatives and fresh._bounds(k).dim)
+    assert checked
+
+
 @pytest.mark.parametrize("name", corpus.names())
 def test_slices_rows_match_apply_d(name):
     A = corpus.algebra(name)

@@ -41,7 +41,7 @@ def _imports(node, target):
 def _calls_echelon(node):
     return (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("echelon", "_echelon"))
+            and node.func.attr in ("echelon", "_bounds"))
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -55,7 +55,8 @@ def test_only_complex_uses_linalg(path):
         return
     assert not importers, "%s imports _linalg at lines %s" % (path, importers)
     calls = [n.lineno for n in nodes if _calls_echelon(n)]
-    assert not calls, "%s calls .echelon( at lines %s" % (path, calls)
+    assert not calls, ("%s reaches the boundary echelon at lines %s"
+                       % (path, calls))
 
 
 _TWISTED_ONLY = ("_residues",)
