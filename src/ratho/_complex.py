@@ -6,10 +6,11 @@ computed here.  A grading adapter supplies, for each grade k, basis(k), a
 finite list of monomials in a fixed order; window(m), whether a monomial
 lies in the cocycle window (None: every monomial does); shift(k, s), the
 grade s steps away, so d maps grade k to shift(k, 1); and d(m), the
-differential of one monomial as a term dict {monomial: Fraction} with no
-zero coefficients.  The adapter reads the differential's derivation table
-once, when it builds the Complex, so d(m) makes no Polynomial and does
-no validation.
+differential of one monomial as a term dict {monomial: coefficient} with
+no zero coefficients, each an int where the differential is integral and
+a Fraction elsewhere.  The adapter reads the differential's derivation
+table once, when it builds the Complex, so d(m) makes no Polynomial and
+does no validation.
 
 Window and overflow rule.  The columns of grade k are basis(k) followed
 by its overflow: the monomials outside basis(k) that d of a monomial of
@@ -39,15 +40,17 @@ particular) are mutable, so nothing is kept on them.
 
 Vectors over basis(k), the rows of d among them, are sparse rows
 {position: coefficient}, the one vector format of ratho._linalg, and the
-memoized rows go to it as they are.  Only class_key returns a full tuple
-over basis(k), since a key must be hashable.
+memoized rows go to it as they are, ints included; every vector it
+returns, and so every Polynomial made here, holds Fractions.  Only
+class_key returns a full tuple over basis(k), since a key must be
+hashable.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
 from . import _linalg
-from .core_algebra import Polynomial
+from .core_algebra import _trusted
 
 ZERO = Fraction(0)
 LEAVES = "element leaves the truncated slice"
@@ -224,7 +227,8 @@ class Complex:
     def poly(self, k, v):
         """The polynomial with sparse coordinates v, terms in basis order."""
         basis = self.basis(k)
-        return Polynomial(self.gens, {basis[i]: v[i] for i in sorted(v)})
+        return _trusted(self.gens,
+                        {basis[i]: v[i] for i in sorted(v) if v[i]})
 
     def combine(self, k, coeffs, vectors):
         """The polynomial sum(c * v) over basis(k)."""

@@ -2,17 +2,20 @@
 
 A vector is a sparse row: a ``{column: value}`` dict that holds only
 nonzero entries.  A matrix is a sequence of such rows.  Every function here
-takes and returns sparse rows of Fractions, so elimination costs what the
-nonzeros cost rather than what the shape costs: the matrices ratho builds
-are almost entirely zero.  The private helpers reduce rows in place; the
+takes sparse rows whose values are ints or Fractions, mixed freely (the
+rows of d hold ints where the differential is integral), and returns
+sparse rows of Fractions, so elimination costs what the nonzeros cost
+rather than what the shape costs: the matrices ratho builds are almost
+entirely zero.  The private helpers reduce rows in place; the
 public functions never mutate their arguments, since callers hand in rows
 they keep (ratho._complex memoizes the rows of d), and eliminate on copies.
 
 Inside, elimination is fraction-free.  Each row that comes in is cleared
-of its denominators into a row of ints; a row is reduced against a pivot
-row by cross-multiplying, a*v - b*row, with a/b the two entries in the
-pivot column in lowest terms; and a pivot row is kept primitive: divided
-by the gcd of its entries, with a positive lead.  Most entries of the
+of its denominators into a row of ints (an int entry has denominator 1,
+so an integral row passes unscaled); a row is reduced against a pivot row
+by cross-multiplying, a*v - b*row, with a/b the two entries in the pivot
+column in lowest terms; and a pivot row is kept primitive: divided by the
+gcd of its entries, with a positive lead.  Most entries of the
 matrices ratho builds are +-1 over denominators 1, 2 and 4, so the ints
 stay small, and no elimination step makes a Fraction.
 

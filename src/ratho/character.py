@@ -52,6 +52,7 @@ from .core_algebra import (
     AlgebraMorphism,
     Polynomial,
     _rational,
+    _trusted,
     apply_morphism,
     gens_of,
     morphism_by_names,
@@ -329,7 +330,7 @@ def _lift(family, image):
     for name in family.names:
         tail, c = family.weights[name]
         terms.update((m + tail, c * x) for m, x in image(name).terms.items())
-    return Polynomial(family.algebra.gens, terms)
+    return _trusted(family.algebra.gens, terms)
 
 
 def _straight_concordance(f0, f1, family, cyl, witness=None):

@@ -96,7 +96,7 @@ class GeneratorSet:
     # -- element builders ------------------------------------------------
 
     def zero(self):
-        return Polynomial(self, {})
+        return _trusted(self, {})
 
     def one(self):
         return self.constant(1)
@@ -106,14 +106,14 @@ class GeneratorSet:
         if c == 0:
             return self.zero()
         unit = (0,) * len(self.gens)
-        return Polynomial(self, {unit: c})
+        return _trusted(self, {unit: c})
 
     def gen(self, name):
         if name not in self.index:
             raise KeyError("unknown generator %r" % name)
         exps = [0] * len(self.gens)
         exps[self.index[name]] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return _trusted(self, {tuple(exps): Fraction(1)})
 
     def monomial(self, powers, coeff=1):
         """Polynomial with a single term; powers maps name -> exponent."""
@@ -123,6 +123,14 @@ class GeneratorSet:
         return self.from_exponents(exps, coeff)
 
     def from_exponents(self, exps, coeff=1):
+        m = self._canonical(exps)
+        c = _rational(coeff, "coefficient")
+        return _trusted(self, {m: c} if c else {})
+
+    def _canonical(self, exps):
+        """exps as a canonical monomial tuple, else GeneratorSetMismatch
+        (wrong length) or ValueError (not an integer, negative, or an odd
+        generator squared)."""
         m = tuple(_integer(e, "exponent") for e in exps)
         if len(m) != len(self.gens):
             raise GeneratorSetMismatch("exponent vector length mismatch")
@@ -131,8 +139,7 @@ class GeneratorSet:
                 raise ValueError("negative exponent")
             if odd and e > 1:
                 raise ValueError("odd generator squared")
-        c = _rational(coeff, "coefficient")
-        return Polynomial(self, {m: c} if c else {})
+        return m
 
     def monomial_degree(self, exps):
         return sum(e * d for e, d in zip(exps, self.degrees))
@@ -203,7 +210,8 @@ def _mul_terms(gens, t1, t2):
 
 
 def _trusted(gens, terms):
-    """A Polynomial on terms already free of zero coefficients."""
+    """A Polynomial on terms that are already canonical: monomials of gens,
+    nonzero Fraction coefficients.  Nothing is checked."""
     p = Polynomial.__new__(Polynomial)
     p.gens, p.terms = gens, terms
     return p
@@ -213,14 +221,19 @@ class Polynomial:
     """Exact-rational linear combination of canonical monomials.
 
     Immutable by convention: no method mutates self, and the term dict is
-    never handed out for writing.
+    never handed out for writing.  The constructor checks each term as
+    from_exponents does and drops zeros; ratho's kernels use _trusted.
     """
 
     __slots__ = ("gens", "terms")
 
     def __init__(self, gens, terms):
         self.gens = gens
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {}
+        for m, c in terms.items():
+            m, c = gens._canonical(m), _rational(c, "coefficient")
+            if c:
+                self.terms[m] = c
 
     # -- ring structure --------------------------------------------------
 
@@ -232,7 +245,7 @@ class Polynomial:
         return self.__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.gens, {m: -c for m, c in self.terms.items()})
+        return _trusted(self.gens, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         terms = _add_terms(dict(self.terms), self._coerce(other).terms, -1)
@@ -244,8 +257,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _rational(other, "scalar")
-            return Polynomial(self.gens,
-                              {m: c * v for m, v in self.terms.items()})
+            return _trusted(self.gens, {m: c * v for m, v in
+                                        self.terms.items()} if c else {})
         other = self._coerce(other)
         return _trusted(self.gens,
                         _mul_terms(self.gens, self.terms, other.terms))
@@ -298,7 +311,7 @@ class Polynomial:
         for m, c in self.terms.items():
             d = self.gens.monomial_degree(m)
             parts.setdefault(d, {})[m] = c
-        return {d: Polynomial(self.gens, t) for d, t in sorted(parts.items())}
+        return {d: _trusted(self.gens, t) for d, t in sorted(parts.items())}
 
     def is_homogeneous(self):
         return len({self.gens.monomial_degree(m) for m in self.terms}) <= 1

@@ -6,20 +6,21 @@ extended to everything as a graded derivation.  d*d = 0 is a certified
 property (check_d_squared), not a constructor assumption.
 
 d has one kernel, _derive, which reads a derivation table (the terms of
-each nonzero d(x_i)).  apply_d is its Polynomial form and reads the table
-per call; _slices reads it once per complex and maps each basis monomial
-straight to its term dict (_d_row).  _d_row is the one row builder of
-both finite complexes: its row is d(m) minus the twist's product H * m,
-with an empty twist for _slices and the twist's terms for
-twisted_derham._residues.
+each nonzero d(x_i), integral coefficients kept as ints).  apply_d is its
+Polynomial form and reads the table per call; _slices reads it once per
+complex and maps each basis monomial straight to its term dict (_d_row).
+_d_row is the one row builder of both finite complexes: its row is d(m)
+minus the twist's product H * m, with an empty twist for _slices and the
+twist's terms for twisted_derham._residues.
 
 Cohomology is computed degreewise on the finite complex of A's slices
 (_slices, a grading adapter over ratho._complex).  The rows of d are built
-once, as sparse {column: Fraction} rows, and go unchanged into the
-exact-rational row reduction of ratho._linalg, which pivots on the lowest
-nonzero column.  Reduced row echelon form is unique, so representatives
-are reproducible across runs and do not depend on how the elimination is
-carried out.
+once, as sparse rows that hold ints where the differential is integral
+and Fractions elsewhere, and go unchanged into the exact-rational row
+reduction of ratho._linalg, which eliminates on ints and pivots on the
+lowest nonzero column.  Reduced row echelon form is unique, so
+representatives are reproducible across runs and do not depend on how the
+elimination is carried out.
 cohomology_dims only takes ranks and never forms a kernel basis or a
 representative.
 
@@ -39,6 +40,7 @@ from .core_algebra import (
     GeneratorSet,
     Polynomial,
     AlgebraMorphism,
+    _trusted,
     apply_morphism,
     basis_of_degree,
     gens_of,
@@ -110,14 +112,22 @@ class DGCA:
             "; ".join(eqs) if eqs else "d = 0")
 
 
+def _row_terms(p):
+    """The terms of p as [(exponents, coefficient), ...], each integral
+    coefficient as its int numerator and every other one as its Fraction."""
+    return [(m, c.numerator if c.denominator == 1 else c)
+            for m, c in p.terms.items()]
+
+
 def _derivation_table(A):
     """The nonzero d(x_i) of A as (i, [(exponents, coefficient), ...]).
 
-    Read once per computation: by apply_d per call, by a grading adapter
-    (_slices, twisted_derham._residues) per complex.  Nothing is stored on
-    A, which is mutable.
+    Coefficients are as _row_terms gives them: ints where the differential
+    is integral.  Read once per computation: by apply_d per call, by a
+    grading adapter (_slices, twisted_derham._residues) per complex.
+    Nothing is stored on A, which is mutable.
     """
-    return [(i, list(A.d[x].terms.items()))
+    return [(i, _row_terms(A.d[x]))
             for i, x in enumerate(A.gens.names) if A.d[x].terms]
 
 
@@ -144,12 +154,14 @@ def _derive(gens, table, m, c, out):
 
 
 def _d_row(gens, table, m, twist=()):
-    """d(m) - H * m of one canonical monomial: {monomial: Fraction}.
+    """d(m) - H * m of one canonical monomial: {monomial: coefficient}.
 
     The per-monomial row of both grading adapters: m is not validated, no
     Polynomial is built and table is _derivation_table(A), read once per
-    complex.  twist holds the terms (hm, hc) of H, each merged in as
-    -hc * hm * m; _slices passes none, so its row is d(m) alone.
+    complex.  twist holds the terms (hm, hc) of H, as _row_terms gives
+    them, each merged in as -hc * hm * m; _slices passes none, so its row
+    is d(m) alone.  The row is built with c = 1, so a coefficient is an int
+    wherever the terms it sums are, and a Fraction otherwise.
     """
     out = {}
     _derive(gens, table, m, 1, out)
@@ -166,7 +178,7 @@ def apply_d(A, p):
     The Polynomial form of d: p is checked to live on A, the derivation
     table is read once per call, and every term goes through _derive, the
     kernel the rows of d (_d_row) are built from, so both give the same
-    terms.
+    terms.  Each coefficient of p is a Fraction, so each one out is too.
     """
     gens = A.gens
     if p.gens != gens:
@@ -175,7 +187,7 @@ def apply_d(A, p):
     out = {}
     for m, c in p.terms.items():
         _derive(gens, table, m, c, out)
-    return Polynomial(gens, out)
+    return _trusted(gens, {m: c for m, c in out.items() if c})
 
 
 class DSquaredReport:
@@ -358,10 +370,10 @@ def tensor(A, B, rename=None):
     na, nb = len(A.gens), len(B.gens)
 
     def embed_a(p):
-        return Polynomial(gens, {m + (0,) * nb: c for m, c in p.terms.items()})
+        return _trusted(gens, {m + (0,) * nb: c for m, c in p.terms.items()})
 
     def embed_b(p):
-        return Polynomial(gens, {(0,) * na + m: c for m, c in p.terms.items()})
+        return _trusted(gens, {(0,) * na + m: c for m, c in p.terms.items()})
 
     d = {}
     for n in A.gens.names:

@@ -22,7 +22,7 @@ relative legs are the absolute checks of linfty's dependency-graph helpers
 from .core_algebra import (
     AlgebraMorphism,
     GeneratorSet,
-    Polynomial,
+    _trusted,
     apply_morphism,
     compose_morphisms,
     morphism_by_names,
@@ -55,7 +55,7 @@ class MinimalModelResult:
 def _embed(p, gens):
     # re-express a polynomial over a prefix generator set in the grown one
     pad = (0,) * (len(gens) - len(p.gens))
-    return Polynomial(gens, {m + pad: c for m, c in p.terms.items()})
+    return _trusted(gens, {m + pad: c for m, c in p.terms.items()})
 
 
 def minimal_model(A, N, polybound=None, budget=64):
@@ -201,7 +201,7 @@ def cofiber(ext):
     new_gens = GeneratorSet(new_pairs)
     d = {}
     for g in ext.new_names:
-        out = Polynomial(new_gens, {})
+        out = new_gens.zero()
         for m, c in ext.total.d[g].terms.items():
             if any(m[i] for i in range(len(m)) if i not in keep):
                 continue

@@ -17,7 +17,7 @@ Polynomial form of the same map.
 
 from ._complex import Complex
 from .core_algebra import GeneratorSetMismatch, _integer, basis_of_degree
-from .dgca import _d_row, _derivation_table, apply_d
+from .dgca import _d_row, _derivation_table, _row_terms, apply_d
 
 
 class TwistedComplex:
@@ -137,11 +137,12 @@ def _residues(C):
 
     Every monomial of a residue is in its window, so cocycles are taken
     against the full, untruncated images and only boundaries are cut.  The
-    base's derivation table and the twist's terms are read once here.
+    base's derivation table and the twist's terms are read once here, each
+    integral coefficient as an int.
     """
     gens = C.base.gens
     table = _derivation_table(C.base)
-    twist = list(C.twist.terms.items())
+    twist = _row_terms(C.twist)
     return Complex(gens, C.residue_basis, lambda k, s: C.fold(k + s),
                    lambda m: _d_row(gens, table, m, twist), overflow=True)
 

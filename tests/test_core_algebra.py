@@ -13,6 +13,7 @@ from ratho.core_algebra import (
     DegreeError,
     GeneratorSet,
     GeneratorSetMismatch,
+    Polynomial,
     UnboundedSliceError,
     apply_morphism,
     basis_of_degree,
@@ -106,6 +107,29 @@ def test_monomial_exponent_must_be_an_integer(e):
     gens = GeneratorSet([("x", 2)])
     with _not_an_integer("exponent", e):
         gens.monomial({"x": e})
+
+
+# the public constructor takes only canonical terms, as from_exponents
+# does, even where the coefficient is zero
+@pytest.mark.parametrize("terms, error, message", [
+    ({(0, 2): 1}, ValueError, "odd generator squared"),
+    ({(5,): 1}, GeneratorSetMismatch, "exponent vector length mismatch"),
+    ({(1, 0, 0): 1}, GeneratorSetMismatch, "exponent vector length mismatch"),
+    ({(-1, 1): 1}, ValueError, "negative exponent"),
+    ({(0, 2): 0}, ValueError, "odd generator squared"),
+], ids=["odd_square", "short", "long", "negative", "zero_coefficient"])
+def test_polynomial_terms_must_be_canonical(terms, error, message):
+    with pytest.raises(error, match=message):
+        Polynomial(GeneratorSet([("x", 2), ("y", 3)]), terms)
+
+
+def test_polynomial_terms_hold_nonzero_fractions():
+    gens = GeneratorSet([("x", 2), ("y", 3)])
+    p = Polynomial(gens, {(2, 1): 3, (1, 0): Fraction(1, 2), (0, 1): 0})
+    assert p.terms == {(2, 1): 3, (1, 0): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p == gens.from_exponents((2, 1), 3) + gens.monomial({"x": 1},
+                                                                Fraction(1, 2))
 
 
 def test_exponent_vector_entries_must_be_integers():
@@ -338,12 +362,13 @@ def _truncated_complex(truncation):
     lambda: GeneratorSet([("x", True)]),
     lambda: _xyz().from_exponents((True, 0, 0)),
     lambda: _xyz().monomial({"y": True}),
+    lambda: Polynomial(_xyz(), {(0, True, 0): 1}),
     lambda: _xyz().gen("y") ** True,
     lambda: SimplexAlgebra(True),
     lambda: _truncated_complex(True),
     lambda: LInfinityStructure([("a", False)], {}),
-], ids=["degree", "exponent", "monomial", "power", "simplex", "truncation",
-        "linfty_degree"])
+], ids=["degree", "exponent", "monomial", "terms", "power", "simplex",
+        "truncation", "linfty_degree"])
 def test_a_bool_is_not_an_integer(build):
     with pytest.raises(ValueError, match="True|False"):
         build()
@@ -383,13 +408,14 @@ def test_a_polynomial_never_equals_a_bool(p, value):
     lambda v: _xyz().constant(v),
     lambda v: _xyz().monomial({"x": 1}, v),
     lambda v: _xyz().from_exponents((0, 1, 0), coeff=v),
+    lambda v: Polynomial(_xyz(), {(0, 1, 0): v}),
     lambda v: _xyz().gen("y") / v,
     lambda v: line_quotient(corpus.algebra("t3"), 0, [v, 0]),
     lambda v: LInfinityStructure([("a", 0), ("b", 0), ("c", 0)],
                                  {("a", "b"): {"c": v}}),
     lambda v: lie_algebra_brackets(["a", "b", "c"], {("a", "b"): {"c": v}}),
-], ids=["constant", "monomial", "from_exponents", "divide", "lattice",
-        "bracket", "structure_constant"])
+], ids=["constant", "monomial", "from_exponents", "terms", "divide",
+        "lattice", "bracket", "structure_constant"])
 def test_a_coefficient_must_be_an_int_or_a_fraction(build, value):
     with pytest.raises(ValueError, match=re.escape(repr(value))):
         build(value)

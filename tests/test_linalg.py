@@ -7,9 +7,11 @@ builds, and include all-zero rows and columns and empty shapes.  Entries
 are small, like ratho's, or have numerators and denominators up to 10^6,
 and some matrices get extra rows that are rational combinations of drawn
 ones, so the kernel's integer rows grow, lose their content and cancel to
-zero.  The kernel takes and returns sparse rows ({column: value}, no zero
-entries) of Fractions; the tests draw dense matrices for the oracle and
-convert at this boundary.
+zero.  The kernel takes sparse rows ({column: value}, no zero entries) of
+ints and Fractions and returns sparse rows of Fractions; the tests draw
+dense matrices of Fractions for the oracle and convert at this boundary,
+and one property gives the same rows with each integral entry as an int,
+as the rows of d come.
 """
 
 import copy
@@ -210,22 +212,43 @@ def _values(result):
     return [x for row in result for x in row.values()]
 
 
+def _with_ints(row):
+    """The sparse row with each integral entry as an int."""
+    return {c: x.numerator if x.denominator == 1 else x
+            for c, x in row.items()}
+
+
+def _entry_point_results(rows, ncols, probes, srows, rhs, allowed):
+    """The sparse rows, or lists of them, that the entry points return."""
+    ech = sparse.Echelon()
+    results = [sparse.rref(rows)[0], sparse.nullspace(rows, ncols),
+               sparse.solve(srows, rhs) or {},
+               sparse.intersect_with_coordinate_subspace(rows, allowed,
+                                                         ncols)]
+    results += [ech.add(v) for v in rows + probes]
+    results += [ech.reduce(v) for v in rows + probes]
+    return results
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 9).flatmap(
     lambda n: st.tuples(_matrix(n), _matrix(n), _system(),
                         st.sets(st.integers(0, max(n - 1, 0))))))
 def test_entry_points_return_nonzero_fractions(case):
     """The kernel eliminates on ints; what leaves it is a nonzero Fraction,
-    since Polynomial takes the values it is given without a type check."""
+    since ratho._complex wraps it in Polynomials without a type check.
+    The rows of d hold ints where the differential is integral, so the
+    same rows with each integral entry as an int give the same Fractions."""
     (rows, ncols), (probes, _), (srows, rhs), allowed = case
-    rows, probes = _sparse_rows(rows), _sparse_rows(probes)
+    rows, probes, srows = (_sparse_rows(rows), _sparse_rows(probes),
+                           _sparse_rows(srows))
+    rhs = _sparse(rhs)
     allowed = {c for c in allowed if c < ncols}
-    ech = sparse.Echelon()
-    results = [sparse.rref(rows)[0], sparse.nullspace(rows, ncols),
-               sparse.solve(_sparse_rows(srows), _sparse(rhs)) or {},
-               sparse.intersect_with_coordinate_subspace(rows, allowed,
-                                                         ncols)]
-    results += [ech.add(v) for v in rows + probes]
-    results += [ech.reduce(v) for v in rows + probes]
-    for result in results:
+    results = _entry_point_results(rows, ncols, probes, srows, rhs, allowed)
+    ints = [[_with_ints(r) for r in part] for part in (rows, probes, srows)]
+    int_results = _entry_point_results(ints[0], ncols, ints[1], ints[2],
+                                       _with_ints(rhs), allowed)
+    assert int_results == results
+    assert sparse.sparse_rank(ints[0]) == sparse.sparse_rank(rows)
+    for result in results + int_results:
         assert all(type(x) is Fraction and x for x in _values(result))

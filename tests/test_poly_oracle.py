@@ -18,11 +18,13 @@ from ratho.chern_weil import CurvatureMatrix, chern_character
 from ratho.core_algebra import (AlgebraMorphism, GeneratorSet, Polynomial,
                                 apply_morphism, basis_of_degree,
                                 normalize_product)
-from ratho.dgca import DGCA, _slices, apply_d
+from ratho.dgca import (DGCA, _d_row, _derivation_table, _row_terms,
+                        _slices, apply_d)
 
 import _poly_oracle as oracle
 
-_COEFFS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+_COEFFS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2),
+                           Fraction(1, 4)])
 
 
 @st.composite
@@ -80,6 +82,32 @@ def test_slices_rows_match_oracle(data):
     cx = _slices(A, 2)
     for m in cx.basis(n):
         assert cx._d(m) == oracle.apply_d(A, A.gens.from_exponents(m)).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_d_row_matches_apply_d_and_keeps_integral_rows_in_ints(data):
+    """The rows of d come from the table with c = 1, so they hold ints where
+    the differential is integral; apply_d reads the same table, and its
+    coefficients stay Fractions."""
+    A = data.draw(_algebra())
+    H = data.draw(_polynomial(A.gens))
+    n = data.draw(st.integers(0, 6))
+    gens, table = A.gens, _derivation_table(A)
+    for i, terms in table:
+        assert terms == list(A.d[gens.names[i]].terms.items())
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for _, c in terms)
+    integral = all(type(c) is int for _, terms in table for _, c in terms)
+    for m in basis_of_degree(gens, n, 2):
+        p = gens.from_exponents(m)
+        dp = apply_d(A, p)
+        assert all(type(c) is Fraction for c in dp.terms.values())
+        row = _d_row(gens, table, m)
+        assert row == dp.terms
+        if integral:
+            assert all(type(c) is int for c in row.values())
+        assert _d_row(gens, table, m, _row_terms(H)) == (dp - H * p).terms
 
 
 def _assert_same(out, expected):
