@@ -20,9 +20,10 @@ Cocycles of grade k are the kernel of d on the window monomials of
 basis(k), against their full images, overflow included.  Boundaries are
 the image of d on all of basis(shift(k, -1)) intersected with the span of
 the window coordinates of grade k: the image directions with any entry on
-a coordinate outside the window, overflow or not, are cut.  So
-dim H^k = dim cocycles - dim boundaries, and without a window or overflow
-this is plain cohomology.
+a coordinate outside the window, overflow or not, are cut.  One echelon
+of them per grade, _bounds(k), serves dims, homology, image and class_key:
+dim H^k = |window| - rank(d on the window) - its dim, and without a window
+or overflow this is plain cohomology.
 
 Maps into cohomology.  image(k, vectors) takes the map R^m -> H^k that
 sends e_i to the class of vectors[i], a sparse row over basis(k), and
@@ -124,26 +125,15 @@ class Complex:
         return [memo[i] for i in positions]
 
     def _incoming(self, k):
-        """Rows of d on all of the previous grade, and grade k's width."""
+        """Rows of d on all of the grade before k."""
         j = self._shift(k, -1)
-        rows = self._rows(j, range(len(self.basis(j))))
-        return rows, len(self._columns(k)[0])
+        return self._rows(j, range(len(self.basis(j))))
 
     def dims(self, k):
-        """dim H^k from ranks of d alone; no kernel basis is formed.
-
-        The boundaries inside the window have dimension rank d_in minus
-        the rank of d_in's rows restricted to the columns outside it.
-        """
+        """|window| - rank(d on the window) - dim of the boundary echelon."""
         window = self.window(k)
-        cycles = len(window) - _linalg.sparse_rank(self._rows(k, window))
-        rows, ncols = self._incoming(k)
-        bnd = _linalg.sparse_rank(rows)
-        if bnd and len(window) < ncols:
-            inside = set(window)
-            bnd -= _linalg.sparse_rank(
-                {c: x for c, x in r.items() if c not in inside} for r in rows)
-        return cycles - bnd
+        return (len(window) - _linalg.sparse_rank(self._rows(k, window))
+                - self._bounds(k).dim)
 
     @_once
     def kernel(self, k):
@@ -160,12 +150,8 @@ class Complex:
     @_once
     def _bounds(self, k):
         """Echelon of the boundaries inside the window; never added to."""
-        rows, ncols = self._incoming(k)
-        ech = _linalg.Echelon()
-        for v in _linalg.intersect_with_coordinate_subspace(
-                rows, set(self.window(k)), ncols):
-            ech.add(v)
-        return ech
+        return _linalg.intersect_with_coordinate_subspace(
+            self._incoming(k), set(self.window(k)))
 
     @_once
     def homology(self, k):
@@ -195,7 +181,7 @@ class Complex:
 
     def primitive(self, k, p):
         """y of grade shift(k, -1) with d(y) = p, or None if none exists."""
-        rows = self._incoming(k)[0]
+        rows = self._incoming(k)
         pos = self._columns(k)[1]
         target = {}
         for m, c in p.terms.items():

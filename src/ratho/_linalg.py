@@ -3,7 +3,7 @@
 A vector is a sparse row: a ``{column: value}`` dict that holds only
 nonzero entries.  A matrix is a sequence of such rows.  Every function here
 takes sparse rows whose values are ints or Fractions, mixed freely (the
-rows of d hold ints where the differential is integral), and returns
+rows of d hold ints where the differential is integral), and hands out
 sparse rows of Fractions, so elimination costs what the nonzeros cost
 rather than what the shape costs: the matrices ratho builds are almost
 entirely zero.  The private helpers reduce rows in place; the
@@ -27,11 +27,14 @@ column, up to the factor _reduce reports.  So dividing at the boundary,
 each row by its lead and each residual by its factor, gives Fractions that
 are the same as Gauss-Jordan elimination on full Fraction matrices gives,
 in whatever order the rows are eliminated; and so is every representative
-or witness built from one.
+or witness built from one.  Pivot columns depend only on the span too,
+so intersect_with_coordinate_subspace needs no back-reduction: Fractions
+leave its Echelon of forward-eliminated rows only through reduce and add.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 
 ONE = Fraction(1)
@@ -215,14 +218,18 @@ class Echelon:
         return _monic(self._pivots[pc], pc)
 
 
-def intersect_with_coordinate_subspace(vectors, allowed, ncols):
-    """Basis of span(vectors) ∩ {v : v supported on the allowed coordinates}.
+def intersect_with_coordinate_subspace(vectors, allowed):
+    """Echelon of span(vectors) ∩ {v : v supported on the allowed coordinates}.
 
-    allowed is a set of coordinates below ncols.  Each allowed column c
-    moves to c + ncols, after every disallowed one; the rref rows whose
-    pivot falls there are supported on the allowed coordinates entirely.
-    """
-    pivots = _rref({c + ncols if c in allowed else c: x
-                    for c, x in v.items()} for v in vectors)
-    return [{c - ncols: x for c, x in _monic(pivots[pc], pc).items()}
-            for pc in sorted(pivots) if pc >= ncols]
+    Each column c outside the set allowed moves to ~c, below every column
+    (if none is outside, the rows go in as they are), for one forward
+    elimination.  A row with pivot >= 0, its lowest column, is zero on every
+    moved column; a combination using a row with a moved pivot is nonzero
+    at the lowest such pivot.  So the rows with pivots >= 0 span exactly
+    the intersection, and are kept as they are."""
+    if not allowed.issuperset(chain.from_iterable(vectors)):
+        vectors = [{c if c in allowed else ~c: x for c, x in v.items()}
+                   for v in vectors]
+    ech = Echelon()
+    ech._pivots = {pc: r for pc, r in _echelon(vectors).items() if pc >= 0}
+    return ech

@@ -119,6 +119,8 @@ class GeneratorSet:
         """Polynomial with a single term; powers maps name -> exponent."""
         exps = [0] * len(self.gens)
         for name, e in powers.items():
+            if name not in self.index:
+                raise KeyError("unknown generator %r" % name)
             exps[self.index[name]] = e
         return self.from_exponents(exps, coeff)
 
@@ -129,9 +131,12 @@ class GeneratorSet:
 
     def _canonical(self, exps):
         """exps as a canonical monomial tuple, else GeneratorSetMismatch
-        (wrong length) or ValueError (not an integer, negative, or an odd
-        generator squared)."""
-        m = tuple(_integer(e, "exponent") for e in exps)
+        (wrong length) or ValueError (not a sequence, not an integer,
+        negative, or an odd generator squared)."""
+        try:
+            m = tuple(_integer(e, "exponent") for e in exps)
+        except TypeError:
+            raise ValueError("%r is not a monomial" % (exps,)) from None
         if len(m) != len(self.gens):
             raise GeneratorSetMismatch("exponent vector length mismatch")
         for e, odd in zip(m, self.odd):

@@ -28,6 +28,7 @@ class TwistedComplex:
         self.twist = twist
         if any(d == 0 for d in base.gens.degrees):
             raise ValueError("degree-0 generators are not supported here")
+        period = None if period is None else _integer(period, "period")
         if twist.is_zero():
             if period is None:
                 raise ValueError("zero twist needs an explicit period")

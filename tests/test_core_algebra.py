@@ -123,6 +123,20 @@ def test_polynomial_terms_must_be_canonical(terms, error, message):
         Polynomial(GeneratorSet([("x", 2), ("y", 3)]), terms)
 
 
+# a bare int is no exponent sequence, and an unknown name is no generator:
+# each error names what it was given
+@pytest.mark.parametrize("build, error, message", [
+    (lambda g: Polynomial(g, {5: 1}), ValueError,
+     "5 is not a monomial"),
+    (lambda g: g.from_exponents(5), ValueError,
+     "5 is not a monomial"),
+    (lambda g: g.monomial({"zz": 1}), KeyError, "unknown generator 'zz'"),
+], ids=["constructor", "from_exponents", "unknown_name"])
+def test_malformed_monomials_are_named(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build(GeneratorSet([("x", 2), ("y", 3)]))
+
+
 def test_polynomial_terms_hold_nonzero_fractions():
     gens = GeneratorSet([("x", 2), ("y", 3)])
     p = Polynomial(gens, {(2, 1): 3, (1, 0): Fraction(1, 2), (0, 1): 0})

@@ -164,15 +164,24 @@ def test_echelon_residuals_and_membership_match_dense(pair):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_matrix().flatmap(lambda m: st.tuples(
-    st.just(m), st.sets(st.integers(0, max(m[1] - 1, 0))))))
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(_matrix(n), _matrix(n),
+                        st.sets(st.integers(0, max(n - 1, 0))))))
 def test_intersect_with_coordinate_subspace_matches_dense(case):
-    (rows, ncols), allowed = case
+    """The intersection is an Echelon: its span is the dense basis's, so
+    every residual modulo it is the dense residual."""
+    (rows, ncols), (probes, _), allowed = case
     allowed = {c for c in allowed if c < ncols}
-    basis = sparse.intersect_with_coordinate_subspace(_sparse_rows(rows),
-                                                      allowed, ncols)
-    assert ([_dense(v, ncols) for v in basis]
-            == dense.intersect_with_coordinate_subspace(rows, allowed, ncols))
+    ours = sparse.intersect_with_coordinate_subspace(_sparse_rows(rows),
+                                                     allowed)
+    basis = dense.intersect_with_coordinate_subspace(rows, allowed, ncols)
+    assert ours.dim == len(basis)
+    theirs = dense.Echelon(ncols)
+    for v in basis:
+        assert ours.reduce(_sparse(v)) == {}
+        theirs.add(v)
+    for v in rows + probes:
+        assert _dense(ours.reduce(_sparse(v)), ncols) == theirs.reduce(v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,8 +202,9 @@ def test_entry_points_leave_their_input_unchanged(case):
         lambda: sparse.transpose(rows),
         lambda: sparse.nullspace(rows, ncols),
         lambda: sparse.solve(rows, rhs),
-        lambda: sparse.intersect_with_coordinate_subspace(rows, allowed,
-                                                          ncols),
+        lambda: sparse.intersect_with_coordinate_subspace(rows, allowed),
+        lambda: sparse.intersect_with_coordinate_subspace(
+            rows, set(range(ncols))),
     ]
     # adds first, so the probes below meet pivots to reduce against
     calls += [lambda v=v: ech.add(v) for v in rows + probes]
@@ -221,10 +231,11 @@ def _with_ints(row):
 def _entry_point_results(rows, ncols, probes, srows, rhs, allowed):
     """The sparse rows, or lists of them, that the entry points return."""
     ech = sparse.Echelon()
+    inter = sparse.intersect_with_coordinate_subspace(rows, allowed)
     results = [sparse.rref(rows)[0], sparse.nullspace(rows, ncols),
                sparse.solve(srows, rhs) or {},
-               sparse.intersect_with_coordinate_subspace(rows, allowed,
-                                                         ncols)]
+               [inter.reduce(v) for v in rows + probes],
+               [inter.copy().add(v) for v in probes]]
     results += [ech.add(v) for v in rows + probes]
     results += [ech.reduce(v) for v in rows + probes]
     return results

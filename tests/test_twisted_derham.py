@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,17 @@ def test_truncation_must_be_an_integer():
     B = DGCA([("a", 2), ("h", 3), ("e", 1)])
     with pytest.raises(ValueError, match="truncation 5.5 is not an integer"):
         TwistedComplex(B, B.gen("h"), truncation=5.5)
+
+
+@pytest.mark.parametrize("period", [1.0, True, "1"])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_period_must_be_an_integer(period, twisted):
+    # 2 * 1.0 + 1 == 3 and 2 * True + 1 == 3 would pass the degree check
+    T3 = _torus()
+    twist = T3.monomial({"x": 1, "y": 1, "z": 1}) if twisted else T3.zero()
+    with pytest.raises(ValueError, match=re.escape(
+            "period %r is not an integer" % (period,))):
+        TwistedComplex(T3, twist, period=period)
 
 
 def test_sphere_twisted_ranks():
