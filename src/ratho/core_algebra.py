@@ -17,10 +17,10 @@ dicts {monomial: Fraction} (_add_terms, _mul_terms), which delete a term
 as soon as it cancels: their output has no zero coefficient, and
 _trusted wraps it without filtering again.
 
-basis_of_degree is output-sensitive: a bit mask per position holds the
-degrees the generators from there on can add exactly, and the odometer
-takes only exponents whose remaining degree is in it, so it enters no
-dead branch.
+basis_of_degree is output-sensitive: bit masks hold the degrees that can
+be left before each position and completed after it, and suffix tables,
+built right to left over those live states only, put one exponent in
+front of each suffix per position, so no table is longer than the output.
 
 No floating point anywhere: coefficients are fractions.Fraction.
 """
@@ -367,79 +367,76 @@ def basis_of_degree(gens, n, polybound=None):
     Deterministic order: lexicographic in the exponent vector.  polybound
     caps the total exponent of degree-0 generators; it is required as soon
     as any degree-0 generator is present, since the slice is infinite
-    otherwise.  Every exponent taken can still complete degree n.
+    otherwise.  Every suffix built completes some monomial of the output.
     """
+    n = _integer(n, "degree")
+    polybound = None if polybound is None else _integer(polybound, "polybound")
     if n < 0:
         return []
-    has_zero = any(d == 0 for d in gens.degrees)
-    if has_zero and polybound is None:
+    degrees, odd, k = gens.degrees, gens.odd, len(gens.degrees)
+    first = degrees.index(0) if 0 in degrees else -1
+    last = k - 1 - degrees[::-1].index(0) if first >= 0 else -1
+    if first >= 0 and polybound is None:
         raise UnboundedSliceError(
             "unbounded slice: degree-0 generators need a polybound")
-    zbudget = polybound if has_zero else 0
-    if zbudget < 0:
-        return []
-    degrees, odd = gens.degrees, gens.odd
-    k = len(degrees)
-    # bit t of reach[i] is set when positions i..k-1 can add exactly
-    # degree t <= n: an odd generator adds 0 or d, an even one any multiple
-    # of d (closed under + d by doubling the shift), a degree-0 one nothing
-    reach = [1] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        r, d = reach[i + 1], degrees[i]
-        if d and odd[i]:
-            r |= r << d
+    zbudget = polybound if first >= 0 else 0
+    # bit t of ahead[i] is set when positions 0..i-1 can use exactly n - t:
+    # an odd generator uses 0 or d, an even one any multiple of d (closed
+    # under + d by doubling the shift), a degree-0 one nothing
+    ahead = [1 << n]
+    for d, o in zip(degrees, odd):
+        a = ahead[-1]
+        if o:
+            a |= a >> d
         elif d:
             s = d
             while s <= n:
-                r |= r << s
+                a |= a >> s
                 s *= 2
-        reach[i] = r & ((2 << n) - 1)
-    if not reach[0] >> n & 1:
+        ahead.append(a)
+    if zbudget < 0 or not ahead[k] & 1:
         return []
-    # an odometer over the exponent vector, not a recursion, so that no
-    # stack grows with the number of generators: rem[i] and zrem[i] are
-    # the degree and degree-0 budget left before position i.  Position i
-    # runs through the exponents whose remainder is in reach[i + 1], up to
-    # caps[i], the largest; a degree-0 position runs through 0..zrem[i]
-    exps, caps = [0] * k, [0] * k
-    rem = [n] * (k + 1)
-    zrem = [zbudget] * (k + 1)
-    out = []
-    i = 0
-    while True:
-        while i < k:
-            d, r = degrees[i], rem[i]
-            if d:
-                nxt, e = reach[i + 1], 0
-                while not nxt >> (r - e * d) & 1:
-                    e += 1
-                c = min(1, r // d) if odd[i] else r // d
-                while not nxt >> (r - c * d) & 1:
-                    c -= 1
-                exps[i], caps[i] = e, c
-                r -= e * d
-            else:
-                exps[i], caps[i] = 0, zrem[i]
-            i += 1
-            rem[i], zrem[i] = r, zrem[i - 1]
-        out.append(tuple(exps))
-        # advance the rightmost position below its cap, reset the rest
-        i = k - 1
-        while i >= 0 and exps[i] == caps[i]:
-            i -= 1
-        if i < 0:
-            return out
-        d = degrees[i]
-        if d:
-            r, nxt, e = rem[i], reach[i + 1], exps[i] + 1
-            while not nxt >> (r - e * d) & 1:
-                e += 1
-            exps[i] = e
-            rem[i + 1] = r - e * d
-        else:
-            exps[i] += 1
-            zrem[i + 1] -= 1
-        i += 1
+    # suffix tables, right to left: table[z][r] lists in order the
+    # exponents of positions i..k-1 that add degree r within degree-0
+    # budget z, for live states only: r a bit of ahead[i] that position i
+    # takes to a live r of position i + 1, z a budget some prefix leaves
+    # (0 past the last degree-0 position)
+    table, below = {0: {0: [()]}}, 1
+    for i in range(k - 1, -1, -1):
+        d, o, live = degrees[i], odd[i], below
+        if o:
+            live |= live << d
+        elif d:
+            s = d
+            while s <= n:
+                live |= live << s
+                s *= 2
+        live &= ahead[i]
+        budgets = ((zbudget,) if i <= first else
+                   range(zbudget + 1) if i <= last else (0,))
+        level = {}
+        for z in budgets:
+            lz = level[z] = {}
+            bits = live
+            while bits:
+                r = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                if o:
+                    steps = [((0,), table[z][r])] if below >> r & 1 else []
+                    if r >= d and below >> (r - d) & 1:
+                        steps.append(((1,), table[z][r - d]))
+                elif d:
+                    steps, q = [], r
+                    for e in range(r // d + 1):
+                        if below >> q & 1:
+                            steps.append(((e,), table[z][q]))
+                        q -= d
+                else:
+                    steps = [((e,), table[z - e if i < last else 0][r])
+                             for e in range(z + 1)]
+                lz[r] = [p + t for p, ts in steps for t in ts]
+        table, below = level, live
+    return table[zbudget][n]
 
 
 class AlgebraMorphism:

@@ -40,6 +40,7 @@ from .core_algebra import (
     GeneratorSet,
     Polynomial,
     AlgebraMorphism,
+    _integer,
     _trusted,
     apply_morphism,
     basis_of_degree,
@@ -227,6 +228,7 @@ def _slices(A, polybound):
     """
     gens = A.gens
     bounded = any(d == 0 for d in gens.degrees)
+    polybound = None if polybound is None else _integer(polybound, "polybound")
 
     def basis(n):
         if bounded and (polybound is None or polybound < 1):
@@ -259,7 +261,7 @@ class CohomologySlice:
 
 def cohomology(A, degrees, polybound=None):
     """CohomologySlice list over an inclusive degree range (lo, hi)."""
-    lo, hi = degrees
+    lo, hi = (_integer(b, "degree bound") for b in degrees)
     cx = _slices(A, polybound)
     out = []
     for n in range(lo, hi + 1):
@@ -274,7 +276,7 @@ def cohomology_dims(A, degrees, polybound=None):
     It builds the rows cohomology builds, so the answers and errors are the
     same; no kernel basis or representative is formed.
     """
-    lo, hi = degrees
+    lo, hi = (_integer(b, "degree bound") for b in degrees)
     cx = _slices(A, polybound)
     return {n: cx.dims(n) for n in range(lo, hi + 1)}
 
@@ -336,7 +338,7 @@ def is_quasi_iso(phi, degrees, polybound=None):
     dim_target = dim_source - relations + cokernel.
     """
     _require_chain_map(phi, "not a chain map at generator %r")
-    lo, hi = degrees
+    lo, hi = (_integer(b, "degree bound") for b in degrees)
     source = _slices(phi.source, polybound)
     target = _slices(phi.target, polybound)
     reports = []

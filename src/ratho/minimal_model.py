@@ -22,6 +22,7 @@ relative legs are the absolute checks of linfty's dependency-graph helpers
 from .core_algebra import (
     AlgebraMorphism,
     GeneratorSet,
+    _integer,
     _trusted,
     apply_morphism,
     compose_morphisms,
@@ -65,7 +66,7 @@ def minimal_model(A, N, polybound=None, budget=64):
     basis: declaring A's generators in another order may change it, but
     not the counts.  budget caps the total number of adjoined generators.
     """
-    if N < 1:
+    if _integer(N, "degree bound") < 1:
         raise ValueError("degree bound must be >= 1")
     slices = _slices(A, polybound)
     pairs = []

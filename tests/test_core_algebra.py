@@ -1,11 +1,13 @@
 import gc
 import itertools
+import math
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ratho.cli import corpus
 from ratho.core_algebra import (
@@ -238,24 +240,80 @@ def test_basis_of_degree_is_a_basis(degrees, n):
         gens.degrees, gens.odd, n)
 
 
+def _ranges(degrees, n, polybound):
+    return [range(polybound + 1) if d == 0 else
+            range(2) if d % 2 else range(n // d + 1) for d in degrees]
+
+
 def _basis_by_product(degrees, n, polybound):
     """Every exponent vector under its range, filtered by degree and by the
-    degree-0 budget, sorted: the slice without any pruning."""
-    ranges = [range(polybound + 1) if d == 0 else
-              range(2) if d % 2 else range(n // d + 1) for d in degrees]
+    degree-0 budget, sorted: the slice without any pruning.  Without a
+    degree-0 generator the budget bounds nothing and may be None."""
     return sorted(
-        e for e in itertools.product(*ranges)
+        e for e in itertools.product(*_ranges(degrees, n, polybound))
         if sum(x * d for x, d in zip(e, degrees)) == n
-        and sum(x for x, d in zip(e, degrees) if d == 0) <= polybound)
+        and (0 not in degrees
+             or sum(x for x, d in zip(e, degrees) if d == 0) <= polybound))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(0, 5), max_size=6), st.integers(0, 12),
-       st.integers(0, 3))
-def test_basis_of_degree_is_the_filtered_product(degrees, n, polybound):
+# the oracle walks every exponent vector under the ranges: cap their number
+PRODUCT_CAP = 20000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=8),
+       st.none() | st.integers(-1, 4), st.data())
+def test_basis_of_degree_is_the_filtered_product(degrees, polybound, data):
+    gens = GeneratorSet([("g%d" % i, d) for i, d in enumerate(degrees)])
+    if polybound is None and 0 in degrees:
+        with pytest.raises(UnboundedSliceError):
+            basis_of_degree(gens, 0, polybound)
+        return
+    sizes = [math.prod(map(len, _ranges(degrees, n, polybound)))
+             for n in range(41)]
+    assume(sizes[0] <= PRODUCT_CAP)
+    top = max(n for n, size in enumerate(sizes) if size <= PRODUCT_CAP)
+    n = data.draw(st.integers(0, top), label="n")
+    assert (basis_of_degree(gens, n, polybound)
+            == _basis_by_product(degrees, n, polybound))
+
+
+def _bench_shapes():
+    # the slices a perfbench big_complexes pass lists: the torus T^10, nine
+    # degree-1 generators (the Heisenberg model), the twistor space through
+    # degree 24, and forms on the 3-simplex at polybound 5
+    shapes = [("T10", (1,) * 10, 10, None), ("deg1x9", (1,) * 9, 9, None),
+              ("twistor", corpus.algebra("twistor").gens.degrees, 24, None),
+              ("simplex3", SimplexAlgebra(3).algebra.gens.degrees, 3, 5)]
+    return [pytest.param(degrees, n, polybound, id="%s-%d" % (name, n))
+            for name, degrees, top, polybound in shapes
+            for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("degrees, n, polybound", _bench_shapes())
+def test_basis_of_degree_matches_the_product_on_bench_shapes(
+        degrees, n, polybound):
     gens = GeneratorSet([("g%d" % i, d) for i, d in enumerate(degrees)])
     assert (basis_of_degree(gens, n, polybound)
             == _basis_by_product(degrees, n, polybound))
+
+
+def test_basis_of_degree_keeps_no_dead_suffix():
+    # 2^16 suffixes of sixteen degree-1 generators add some degree <= 16,
+    # but only (1,) * 16 has degree 16: a table that kept the suffixes no
+    # prefix can reach would hold megabytes, the output is one tuple
+    gens = GeneratorSet([("g%d" % i, 1) for i in range(16)])
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert basis_of_degree(gens, 16) == [(1,) * 16]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("degree, count, n, expected", [
@@ -277,6 +335,22 @@ def test_basis_of_degree_needs_polybound_for_degree0():
     assert got == [(0, 1), (1, 1), (2, 1)]
     # a negative budget admits no exponent of a degree-0 generator
     assert basis_of_degree(gens, 1, polybound=-1) == []
+
+
+@pytest.mark.parametrize("polybound", [2.5, True, "3"])
+def test_basis_of_degree_polybound_must_be_an_integer(polybound):
+    # a budget of 2.5 is never spent exactly, so listing would not end;
+    # True would read as 1
+    gens = GeneratorSet([("t", 0), ("x", 1)])
+    with _not_an_integer("polybound", polybound):
+        basis_of_degree(gens, 1, polybound=polybound)
+
+
+@pytest.mark.parametrize("n", [1.0, True, "1"])
+def test_basis_of_degree_degree_must_be_an_integer(n):
+    gens = GeneratorSet([("x", 1), ("y", 2)])
+    with _not_an_integer("degree", n):
+        basis_of_degree(gens, n)
 
 
 def test_basis_of_degree_leaves_no_cyclic_garbage():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -369,6 +370,34 @@ def _leaves_slice():
     # d x = t*y raises the degree-0 exponent, so d leaves every truncation
     A = DGCA([("t", 0), ("x", 1), ("y", 2)])
     return DGCA(A.gens, d={"x": A.gen("t") * A.gen("y")})
+
+
+def _not_an_integer(what, value):
+    return pytest.raises(ValueError, match=re.escape(
+        "%s %r is not an integer" % (what, value)))
+
+
+@pytest.mark.parametrize("polybound", [1.5, 2.5, True, "3"])
+def test_polybound_must_be_an_integer(polybound):
+    # a budget of 1.5 or 2.5 is never spent exactly, so listing the
+    # slice would not end; True would read as 1
+    B = DGCA([("t", 0), ("x", 1)])
+    with _not_an_integer("polybound", polybound):
+        is_exact(B, B.gen("x"), polybound)
+    with _not_an_integer("polybound", polybound):
+        cohomology_dims(B, (0, 1), polybound)
+
+
+@pytest.mark.parametrize("bound", [True, 2.0, "2"])
+def test_degree_bounds_must_be_integers(bound):
+    # (0, True) would read as H^0..H^1
+    A = _s4()
+    for degrees in ((0, bound), (bound, 3)):
+        for call in (cohomology, cohomology_dims):
+            with _not_an_integer("degree bound", bound):
+                call(A, degrees)
+        with _not_an_integer("degree bound", bound):
+            is_quasi_iso(morphism_by_names(A, A), degrees)
 
 
 @pytest.mark.parametrize("build,polybound", [

@@ -1,4 +1,5 @@
 import importlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,14 @@ def test_preconditions_rejected():
     fat_point = DGCA([("t0", 0), ("dt0", 1)])  # d = 0, so H^0 is big
     with pytest.raises(ValueError):
         minimal_model(fat_point, 2, polybound=2)
+
+
+@pytest.mark.parametrize("N", [2.5, True, "3"])
+def test_degree_bound_must_be_an_integer(N):
+    # True would run silently as N = 1
+    with pytest.raises(ValueError, match=re.escape(
+            "degree bound %r is not an integer" % (N,))):
+        minimal_model(_s4(), N)
 
 
 def test_budget_cap():
