@@ -35,6 +35,7 @@ from .core_algebra import (
     GeneratorSet,
     GeneratorSetMismatch,
     Polynomial,
+    _integer,
 )
 from .dgca import DGCA
 
@@ -151,7 +152,7 @@ def determinant(phi):
 
 def _det_one_plus_parts(phi, step, kmax):
     """The degree-step*k parts of det(1 + phi) for k = 1 .. kmax."""
-    if kmax < 0:
+    if _integer(kmax, "kmax") < 0:
         raise ValueError("kmax must be nonnegative")
     one = phi.gens.one()
     shifted = [[phi.entries[i][j] + (one if i == j else 0)
@@ -180,7 +181,7 @@ def chern_character(phi, cutoff):
     p_k = sum_{i<k} (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k, which hold
     over any commutative ring, and degree-2 entries commute.
     """
-    if cutoff < 0:
+    if _integer(cutoff, "cutoff") < 0:
         raise ValueError("cutoff must be nonnegative")
     e = chern_forms(phi, cutoff // 2)
     out = phi.gens.constant(phi.size)

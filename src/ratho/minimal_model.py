@@ -10,7 +10,11 @@ read before the kills is the one after them.  At n = 0, 1, where M is
 empty and H^0(M) = Q hits the unit, a cokernel is the refusal: H^0(A)
 must be Q and H^1(A) must vanish.  Representatives follow the
 deterministic echelon order, so reruns give the same presentation;
-counts per degree are the only isomorphism invariant asserted.
+counts per degree are the only isomorphism invariant asserted.  The model,
+phi and the model's complex are built once before step 0 and again only
+after a step that adjoins: a step that adds nothing leaves M unchanged, so
+the next step reads the complex whose bases, rows of d and homology are
+already memoized.
 
 Relative Sullivan extensions are verified, never constructed.  Relative
 minimality is the strict condition: no differential of a new generator may
@@ -68,6 +72,7 @@ def minimal_model(A, N, polybound=None, budget=64):
     """
     if _integer(N, "degree bound") < 1:
         raise ValueError("degree bound must be >= 1")
+    budget = _integer(budget, "generator budget")
     slices = _slices(A, polybound)
     pairs = []
     d_data = {}
@@ -89,11 +94,11 @@ def minimal_model(A, N, polybound=None, budget=64):
         gens = GeneratorSet(pairs)
         M = DGCA(gens, {n: _embed(p, gens) for n, p in d_data.items()})
         phi = AlgebraMorphism(M, A, dict(phi_data))
-        return M, phi
+        return M, phi, _slices(M, None)
 
-    M, phi = build()
+    M, phi, model = build()
     for n in range(N + 2):
-        model = _slices(M, None)
+        grown = len(pairs)
         zs, relations, cokernel = _induced(phi, model, slices, n)
         if cokernel and n < 2:
             raise ValueError("H^0 must be one-dimensional" if n == 0
@@ -111,7 +116,8 @@ def minimal_model(A, N, polybound=None, budget=64):
             # closed generators of degree n for the cokernel of H^n(phi)
             for p in cokernel:
                 adjoin(n, p)
-        M, phi = build()
+        if len(pairs) > grown:
+            M, phi, model = build()
 
     counts = {}
     for _, deg in pairs:

@@ -1,6 +1,7 @@
 """Characteristic-form calculus: determinant, trace and Pfaffian identities."""
 
 import gc
+import re
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,21 @@ def test_pontrjagin_zero_and_flag():
     assert all(p.is_zero() for p in pontrjagin_forms(phi, 3))
     with pytest.raises(ValueError):
         pontrjagin_forms(diagonal_matrix([G.gen("x"), G.gen("y")]), 1)
+
+
+@pytest.mark.parametrize("bound", [True, 2.0, 4.5, "3"])
+@pytest.mark.parametrize("form,what", [(chern_forms, "kmax"),
+                                       (chern_character, "cutoff"),
+                                       (pontrjagin_forms, "kmax")])
+def test_degree_bounds_must_be_integers(form, what, bound):
+    # True would run silently as 1, and a float reached range() unchecked
+    G = _even_gens("x", "y")
+    x, y = G.gen("x"), G.gen("y")
+    phi = (_antisym(G, [x]) if form is pontrjagin_forms
+           else diagonal_matrix([x, y]))
+    with pytest.raises(ValueError, match=re.escape(
+            "%s %r is not an integer" % (what, bound))):
+        form(phi, bound)
 
 
 def test_pontrjagin_whitney_through_degree_8():

@@ -27,6 +27,8 @@ from ratho.minimal_model import (
     verify_relative,
 )
 
+import _model_oracle
+
 
 def _s4():
     A = DGCA([("w4", 4), ("w7", 7)])
@@ -163,6 +165,12 @@ def _polybound(A):
     return 3 if 0 in A.gens.degrees else None
 
 
+def _product(a, b):
+    B = corpus.algebra(b)
+    return tensor(corpus.algebra(a), B,
+                  rename={n: n + "b" for n in B.gens.names})
+
+
 @pytest.mark.parametrize(
     "name", [n for n in corpus.names() if n not in _H1_MODELS])
 def test_corpus_models_pass_the_independent_checks(name):
@@ -173,9 +181,7 @@ def test_corpus_models_pass_the_independent_checks(name):
 
 @pytest.mark.parametrize("a,b", _PRODUCTS)
 def test_products_pass_the_independent_checks(a, b):
-    B = corpus.algebra(b)
-    P = tensor(corpus.algebra(a), B,
-               rename={n: n + "b" for n in B.gens.names})
+    P = _product(a, b)
     res = minimal_model(P, 10)
     # a product of minimal algebras is its own minimal model
     assert res.counts == {
@@ -204,6 +210,58 @@ def test_one_read_of_h_phi_per_degree(N, monkeypatch):
     assert calls == list(range(N + 2))
 
 
+def _exact(run, A, N, polybound=None):
+    """Everything a run presents: generator names and degrees, str of each
+    d and comparison image, counts; or the type and text of its error."""
+    try:
+        res = run(A, N, polybound=polybound)
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__, str(e)
+    gens = res.model.gens
+    return (gens.names, gens.degrees,
+            [str(res.model.d[n]) for n in gens.names],
+            [str(res.comparison.assignment[n]) for n in gens.names],
+            res.counts)
+
+
+# at N = 7 the last step, n = N + 1, adjoins (the killers of w4^2 in s4
+# and w2^4 in cp3), so the model returned is one built after the loop's
+# final read
+@pytest.mark.parametrize("N", [4, 7, 8, 12])
+@pytest.mark.parametrize("name", corpus.names())
+def test_corpus_presentations_match_the_rebuild_every_step_loop(name, N):
+    A = corpus.algebra(name)
+    pb = _polybound(A)
+    assert (_exact(minimal_model, A, N, pb)
+            == _exact(_model_oracle.minimal_model, A, N, pb))
+
+
+@pytest.mark.parametrize("a,b", _PRODUCTS)
+def test_product_presentations_match_the_rebuild_every_step_loop(a, b):
+    P = _product(a, b)
+    assert (_exact(minimal_model, P, 10)
+            == _exact(_model_oracle.minimal_model, P, 10))
+
+
+def test_model_complex_rebuilt_only_after_a_step_adjoins(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dgca._slices(*args)
+
+    monkeypatch.setattr(_MODULE, "_slices", counted)
+    res = minimal_model(_product("s2", "s3"), 10)
+    # a closed generator of degree k is adjoined at step k, a killing one
+    # at step k + 1: here x2 and the s3 class at steps 2 and 3, and the
+    # killer of x2^2 at step 4
+    steps = {deg + (not res.model.d[n].is_zero())
+             for n, deg in zip(res.model.gens.names, res.model.gens.degrees)}
+    assert steps == {2, 3, 4}
+    # one complex of A, one of the empty model, one per adjoining step
+    assert len(calls) == 2 + len(steps)
+
+
 def test_degree_zero_refusal_comes_first():
     # H^0 is spanned by 1 and t, and d e = t^2 f leaves the slice in
     # degree 1: degree 0 is read first, so its refusal is the error
@@ -229,6 +287,15 @@ def test_degree_bound_must_be_an_integer(N):
     with pytest.raises(ValueError, match=re.escape(
             "degree bound %r is not an integer" % (N,))):
         minimal_model(_s4(), N)
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, "3", None])
+def test_budget_must_be_an_integer(budget):
+    # True would cap silently at 1 and 2.5 at 2; "3" and None reached the
+    # comparison with len(pairs) unchecked
+    with pytest.raises(ValueError, match=re.escape(
+            "generator budget %r is not an integer" % (budget,))):
+        minimal_model(corpus.algebra("cp2"), 6, budget=budget)
 
 
 def test_budget_cap():
