@@ -33,8 +33,9 @@ The lattice quotients of both families (line_quotient, twisted_ku_quotient)
 are one level loop, _lattice_classes: from the family's zero datum each
 generator g takes a particular solution of the coefficients' own
 d F(g) = F(dg) plus lattice combinations of cocycles, each datum is lifted
-once and keyed by the class of its lift, and each class's first member is
-verified directly, every later one as a verified cylinder's endpoint.
+once and keyed by the class of its lift, and each datum is verified once:
+a class's first member directly, every later one as the far end of a
+cylinder whose report reuses both endpoint reports.
 
 Residuals in every report follow one convention, is_chain_map's: image of
 the source differential minus differential of the image, so a residual
@@ -250,6 +251,16 @@ def verify_concordance(ccd):
     (failures name ev0/ev1), and, for twisted data, that base generators
     are constant in the cylinder direction.
     """
+    return _concordance_report(ccd, _verify_datum(ccd.f0),
+                               _verify_datum(ccd.f1))
+
+
+def _concordance_report(ccd, r0, r1):
+    """verify_concordance's report on ccd, given its endpoints' reports.
+
+    r0 and r1 are _verify_datum's reports on ccd.f0 and ccd.f1, so a
+    caller that already holds them does not verify the endpoints again.
+    """
     cyl = ccd.cylinder
     names = ccd.coefficients.gens.names
     endpoint = []
@@ -259,8 +270,8 @@ def verify_concordance(ccd):
     twist = [] if ccd.twist is None else _residuals(
         (b, cyl.inclusion(ccd.twist.image(b)) - ccd.image(b))
         for b in ccd.bundle.base.gens.names)
-    return ConcordanceReport((_verify_datum(ccd.f0), _verify_datum(ccd.f1)),
-                             verify_flat(ccd).failures, endpoint, twist)
+    return ConcordanceReport((r0, r1), verify_flat(ccd).failures, endpoint,
+                             twist)
 
 
 def constant_concordance(F):
@@ -360,6 +371,7 @@ def _straight_concordance(f0, f1, family, cyl, witness=None):
             raise ValueError("dh does not equal the endpoint difference")
     t = cyl.algebra.gen(cyl.t_name)
     dt = cyl.algebra.gen(cyl.dt_name)
+    s = 1 - t
     assignment = {}
     if f0.bundle is not None:
         for b in f0.bundle.base.gens.names:
@@ -369,7 +381,7 @@ def _straight_concordance(f0, f1, family, cyl, witness=None):
         tail, c = family.weights[name]
         h = Polynomial(f0.target.gens, {
             m[:n]: x / c for m, x in witness.terms.items() if m[n:] == tail})
-        assignment[name] = ((1 - t) * cyl.inclusion(f0.image(name))
+        assignment[name] = (s * cyl.inclusion(f0.image(name))
                             + t * cyl.inclusion(f1.image(name))
                             + dt * cyl.inclusion(h))
     return ConcordanceDatum(cyl, f0, f1, assignment)
@@ -439,10 +451,13 @@ def _lattice_classes(zero, lattice, polybound=None):
     seeds the level loop: with F the partial datum, a name g of degree k
     takes a primitive of F(dg) in _slices(target), or 0 when F(dg) = 0,
     plus each lattice combination of the degree-k cocycles; each datum is
-    lifted into B once, and its key is the class of that lift.  The first
-    member of each class passes _verify_datum; on one CylinderAlgebra the
-    straight cylinder joins it to each later member, and
-    verify_concordance checks each, endpoints included.  Each witness
+    lifted into B once, and its key is the class of that lift.  Each datum
+    passes _verify_datum exactly once: the first member of each class
+    before its cylinders, each later member as the far end of its own.  On
+    one CylinderAlgebra the straight cylinder joins the first member to
+    each later one, and its report, verify_concordance's, reuses both
+    endpoint reports and adds the cylinder's chain map, its ev0 and ev1
+    restrictions and, for twisted data, twist constancy.  Each witness
     integrated off one is lifted into B and re-checked with apply_d
     against the endpoints' lifts.  Across classes, differences of first
     members' lifts must have no primitive in _slices(B): all pairs up to
@@ -480,11 +495,12 @@ def _lattice_classes(zero, lattice, polybound=None):
                            []).append((datum, lift))
     cyl = CylinderAlgebra(target)
     for (d0, x0), *rest in classes.values():
-        if not _verify_datum(d0).passed:
+        r0 = _verify_datum(d0)
+        if not r0.passed:
             raise RuntimeError("enumerated datum failed verification")
         for d1, x1 in rest:
             ccd = _straight_concordance(d0, d1, family, cyl)
-            if not verify_concordance(ccd).passed:
+            if not _concordance_report(ccd, r0, _verify_datum(d1)).passed:
                 raise RuntimeError("straight concordance failed verification")
             h = _lift(family, lambda n: fiber_integrate(cyl, ccd.image(n)))
             if apply_d(family.algebra, h) != x1 - x0:

@@ -15,7 +15,9 @@ odd factor of the right monomial the odd factors of the left one above it.
 It is the one sign rule.  Sums, products and morphism images run on term
 dicts {monomial: Fraction} (_add_terms, _mul_terms), which delete a term
 as soon as it cancels: their output has no zero coefficient, and
-_trusted wraps it without filtering again.
+_trusted wraps it without filtering again.  A morphism whose generator
+images have at most one term each folds every input term into one
+output term (_fold_term) instead of multiplying term dicts.
 
 basis_of_degree is output-sensitive: bit masks hold the degrees that can
 be left before each position and completed after it, and suffix tables,
@@ -490,14 +492,31 @@ def gens_of(obj):
 
 
 def apply_morphism(phi, p):
-    """Multiplicative unital extension of the generator assignment."""
+    """Multiplicative unital extension of the generator assignment.
+
+    When every generator image has at most one term (an inclusion, an
+    evaluation at a point, a renaming), each input term maps to at most
+    one output term: its factors fold into one (sign, monomial,
+    coefficient) through normalize_product, with no term dict per factor.
+    Otherwise each power g_i^e is built once per call and multiplied in.
+    """
     sgens = gens_of(phi.source)
     tgens = gens_of(phi.target)
     if p.gens != sgens:
         raise GeneratorSetMismatch("polynomial not over the morphism source")
+    out = {}
+    if not p.terms:
+        return _trusted(tgens, out)
+    images = [phi.assignment[name].terms for name in sgens.names]
+    if max(map(len, images), default=0) <= 1:
+        for m, c in p.terms.items():
+            r = _fold_term(tgens, images, m, c)
+            if r is not None:
+                sign, mono, coeff = r
+                _add_terms(out, {mono: coeff}, sign)
+        return _trusted(tgens, out)
     unit = (0,) * len(tgens)
     powers = {}  # (i, e) -> terms of g_i^e, each built once per call
-    out = {}
     for m, c in p.terms.items():
         img = {unit: c}
         # factors in canonical order; Koszul signs handled by the product
@@ -506,7 +525,7 @@ def apply_morphism(phi, p):
                 continue
             g = powers.get((i, e))
             if g is None:
-                g = base = phi.assignment[sgens.names[i]].terms
+                g = base = images[i]
                 for _ in range(e - 1):
                     g = _mul_terms(tgens, g, base)
                 powers[(i, e)] = g
@@ -515,6 +534,30 @@ def apply_morphism(phi, p):
                 break
         _add_terms(out, img, 1)
     return _trusted(tgens, out)
+
+
+def _fold_term(tgens, images, m, c):
+    """The image of the term c * m under generator images of at most one
+    term each: (sign, monomial, coefficient), or None when an image is
+    zero or normalize_product finds a repeated odd generator.  Factors
+    fold left to right in canonical order; a unit coefficient costs no
+    product."""
+    sign, mono = 1, (0,) * len(tgens)
+    for i, e in enumerate(m):
+        if e == 0:
+            continue
+        if not images[i]:
+            return None
+        (gm, gc), = images[i].items()
+        for _ in range(e):
+            r = normalize_product(tgens, mono, gm)
+            if r is None:
+                return None
+            sign *= r[0]
+            mono = r[1]
+            if gc != 1:
+                c = c * gc
+    return sign, mono, c
 
 
 def morphism_by_names(source, target, overrides=None):

@@ -17,12 +17,12 @@ face_pullback(1, 1).  Fiberwise integration sends m * t0^k * dt0 to
 hold identically.
 """
 
-from fractions import Fraction
-
 from .core_algebra import (
     AlgebraMorphism,
     GeneratorSetMismatch,
+    _add_terms,
     _integer,
+    _trusted,
     morphism_by_names,
 )
 from .dgca import DGCA, apply_d, tensor
@@ -146,21 +146,21 @@ def fiber_integrate(C, w):
     """Integrate a cylinder form over the interval factor.
 
     Monomials without the interval differential die; m * t^k * dt
-    integrates to (-1)^deg(m) * m / (k+1).
+    integrates to (-1)^deg(m) * m / (k+1).  One pass adds each term into
+    one dict over the base, dropping terms that cancel; a canonical
+    cylinder monomial cut to the base is canonical there.
     """
-    base = C.base
+    gens = C.base.gens
     if w.gens != C.algebra.gens:
         raise GeneratorSetMismatch("form does not live on the cylinder")
-    nb = len(base.gens)
-    out = base.zero()
+    nb = len(gens)
+    out = {}
     for m, c in w.terms.items():
-        if m[nb + 1] == 0:
-            continue
-        k = m[nb]
-        body = m[:nb]
-        sign = -1 if base.gens.monomial_degree(body) % 2 else 1
-        out = out + base.gens.from_exponents(body, c * sign * Fraction(1, k + 1))
-    return out
+        if m[nb + 1]:
+            body = m[:nb]
+            _add_terms(out, {body: c / (m[nb] + 1)},
+                       -1 if gens.monomial_degree(body) % 2 else 1)
+    return _trusted(gens, out)
 
 
 def check_stokes(C, w):

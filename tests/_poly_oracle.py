@@ -16,12 +16,19 @@ Polynomial product per generator factor.  Their bodies are the earlier
 methods' text, with self kept as the first argument and each nested
 operation routed to these functions.  Every sum and product in this
 module goes through them, so no oracle result comes from the library's
-term-dict kernels.
+term-dict kernels, with one exception.  apply_morphism_by_powers is the
+term-dict loop the library ran on every morphism before it folded
+single-term generator images: one product of term dicts per factor, each
+power g_i^e built once per call.  It is kept verbatim, on the library's
+_mul_terms and _add_terms, which test_poly_oracle checks against mul and
+add.  fiber_integrate is the earlier per-term integration over the
+cylinder's interval, one sum and one checked monomial per term.
 """
 
 from fractions import Fraction
 
-from ratho.core_algebra import GeneratorSetMismatch, Polynomial, gens_of
+from ratho.core_algebra import (GeneratorSetMismatch, Polynomial, _add_terms,
+                                _mul_terms, _trusted, gens_of)
 
 
 def normalize_product(gens, m1, m2):
@@ -99,6 +106,56 @@ def apply_morphism(phi, p):
             if img.is_zero():
                 break
         out = add(out, img)
+    return out
+
+
+def apply_morphism_by_powers(phi, p):
+    """Multiplicative unital extension of the generator assignment."""
+    sgens = gens_of(phi.source)
+    tgens = gens_of(phi.target)
+    if p.gens != sgens:
+        raise GeneratorSetMismatch("polynomial not over the morphism source")
+    unit = (0,) * len(tgens)
+    powers = {}  # (i, e) -> terms of g_i^e, each built once per call
+    out = {}
+    for m, c in p.terms.items():
+        img = {unit: c}
+        # factors in canonical order; Koszul signs handled by the product
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            g = powers.get((i, e))
+            if g is None:
+                g = base = phi.assignment[sgens.names[i]].terms
+                for _ in range(e - 1):
+                    g = _mul_terms(tgens, g, base)
+                powers[(i, e)] = g
+            img = _mul_terms(tgens, img, g)
+            if not img:
+                break
+        _add_terms(out, img, 1)
+    return _trusted(tgens, out)
+
+
+def fiber_integrate(C, w):
+    """Integrate a cylinder form over the interval factor.
+
+    Monomials without the interval differential die; m * t^k * dt
+    integrates to (-1)^deg(m) * m / (k+1).
+    """
+    base = C.base
+    if w.gens != C.algebra.gens:
+        raise GeneratorSetMismatch("form does not live on the cylinder")
+    nb = len(base.gens)
+    out = base.zero()
+    for m, c in w.terms.items():
+        if m[nb + 1] == 0:
+            continue
+        k = m[nb]
+        body = m[:nb]
+        sign = -1 if base.gens.monomial_degree(body) % 2 else 1
+        out = add(out, base.gens.from_exponents(
+            body, c * sign * Fraction(1, k + 1)))
     return out
 
 

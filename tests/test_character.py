@@ -597,8 +597,8 @@ def test_twisted_ku_quotient_matches_the_quotient_oracle(case):
 
 @pytest.mark.parametrize("which", ["line_T5", "twisted_t3"])
 def test_each_enumerated_datum_is_verified(monkeypatch, which):
-    # each class's first member is verified directly, and every later one
-    # as an endpoint of a cylinder that verify_concordance checks
+    # each class's first member is verified before its cylinders, and every
+    # later one as the far end of its cylinder, whose report reads both
     seen = []
     verify = character._verify_datum
 
@@ -624,9 +624,10 @@ def test_each_enumerated_datum_is_verified(monkeypatch, which):
 
 @pytest.mark.parametrize("which", ["line_T5", "twisted_t3"])
 def test_lattice_classes_verify_and_lift_each_datum_once(monkeypatch, which):
-    # no reflexive cylinder: one check per first member, two endpoint
-    # checks per within-class cylinder; one lift per datum when keyed and
-    # three per cylinder (its two endpoints and its integrated witness)
+    # no reflexive cylinder: one check per datum, the first member's before
+    # its class's cylinders and each later member's as its cylinder's far
+    # end; one lift per datum when keyed and three per cylinder (its two
+    # endpoints and its integrated witness)
     calls = collections.Counter()
 
     def counting(name):
@@ -644,9 +645,58 @@ def test_lattice_classes_verify_and_lift_each_datum_once(monkeypatch, which):
     data = sum(len(m) for m in res.classes.values())
     assert res.concordances == {"line_T5": 0, "twisted_t3": 54}[which]
     assert calls["_straight_concordance"] == res.concordances
-    assert calls["_verify_datum"] == res.class_count + 2 * res.concordances
-    assert calls["_verify_datum"] == {"line_T5": 243, "twisted_t3": 135}[which]
+    assert calls["_verify_datum"] == data == res.class_count + res.concordances
+    assert calls["_verify_datum"] == {"line_T5": 243, "twisted_t3": 81}[which]
     assert calls["_lift"] == data + 3 * res.concordances == 243
+
+
+def test_lattice_classes_refuse_a_cylinder_with_one_extra_term(monkeypatch):
+    # the cylinder's own checks still run: t times a term of one image
+    # keeps ev0 and breaks ev1
+    straight = character._straight_concordance
+
+    def tampered(f0, f1, family, cyl, witness=None):
+        ccd = straight(f0, f1, family, cyl, witness)
+        images = dict(ccd.morphism.assignment)
+        name = next(n for n in family.names if images[n].terms)
+        m, c = next(iter(images[name].terms.items()))
+        images[name] = images[name] + cyl.algebra.gen(cyl.t_name) * \
+            cyl.algebra.gens.from_exponents(m, c)
+        return ConcordanceDatum(cyl, f0, f1, images)
+
+    monkeypatch.setattr(character, "_straight_concordance", tampered)
+    _, run = _benchmark_quotient("twisted_t3")
+    with pytest.raises(RuntimeError,
+                       match="straight concordance failed verification"):
+        run()
+
+
+def test_lattice_classes_read_each_later_members_own_report(monkeypatch):
+    # one later member of one class fails its own check and nothing else
+    # does: the run fails, so that member's report is the one read
+    _, run = _benchmark_quotient("twisted_t3")
+    later = next(m for m in run().classes.values() if len(m) > 1)[-1]
+    verify = character._verify_datum
+
+    def failing_once(F):
+        if _terms(F) == _terms(later):
+            return character.FlatReport([("f1", F.target.one())])
+        return verify(F)
+
+    monkeypatch.setattr(character, "_verify_datum", failing_once)
+    with pytest.raises(RuntimeError,
+                       match="straight concordance failed verification"):
+        run()
+
+
+def test_verify_concordance_reports_both_endpoints():
+    # a datum that is not flat fails as either end of its constant cylinder
+    omega = _cofiber_algebra()
+    F = line_datum(omega, 2, omega.gen("h3"))
+    assert not verify_flat(F).passed
+    rep = verify_concordance(constant_concordance(F))
+    assert [r.passed for r in rep.endpoint_reports] == [False, False]
+    assert not rep.passed
 
 
 def _terms(F):

@@ -196,6 +196,18 @@ def test_projection_formula_randomized(beta, alpha):
     assert check_projection(_CYL, beta, alpha)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(_base_forms(), st.sampled_from(
+    [1, -2, Fraction(1, 3)])), max_size=3))
+def test_evaluations_invert_the_inclusion(parts):
+    # on inhomogeneous base forms, and as composed morphisms
+    beta = sum((c * p for p, c in parts), _BASE.zero())
+    identity = morphism_by_names(_BASE, _BASE)
+    for ev in (_CYL.ev0, _CYL.ev1):
+        assert ev(_CYL.inclusion(beta)) == beta
+        assert compose_morphisms(ev, _CYL.inclusion) == identity
+
+
 def test_poincare_at_truncation():
     S = SimplexAlgebra(2)
     assert cohomology_dims(S.algebra, (0, 2), polybound=3) == {0: 1, 1: 0, 2: 0}
