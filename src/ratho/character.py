@@ -20,12 +20,15 @@ directions, with witnesses either way:
     degree 2kmax+1: classes of degree 2kmax+1 in target (x) Lambda(u).
 
 Both are decided by one construction, the straight cylinder
-(1-t) F0 + t F1 + dt h, where the witness h is a primitive of F1 - F0.
+(1-t) F0 + t F1 + dt h, where the witness h is a primitive of F1 - F0;
+_straight_concordance alone builds it and certifies it, for
+linear_concordance, decide_concordance and both lattice quotients.
 _family alone recognizes a family, from the coefficients and the bundle
 and never from the Python type.  Both are line data over an algebra B,
 the target or, for the h3 family, the target with u, d u = -H: _lift
 sends a datum's images into B, apply_d there checks a witness, and
-_slices(B) searches one.  A witness found gives the concordance; none
+_slices(B) searches one.  A witness found gives the concordance, checked
+by its report and by integrating the witness back off the cylinder; none
 found refutes it.  Other coefficients, twisted data over other bundles
 included, are verification-only.
 
@@ -35,7 +38,7 @@ generator g takes a particular solution of the coefficients' own
 d F(g) = F(dg) plus lattice combinations of cocycles, each datum is lifted
 once and keyed by the class of its lift, and each datum is verified once:
 a class's first member directly, every later one as the far end of a
-cylinder whose report reuses both endpoint reports.
+cylinder, which the join certifies from both endpoint reports and lifts.
 
 Residuals in every report follow one convention, is_chain_map's: image of
 the source differential minus differential of the image, so a residual
@@ -52,6 +55,7 @@ from fractions import Fraction
 from .core_algebra import (
     AlgebraMorphism,
     Polynomial,
+    _integer,
     _rational,
     _trusted,
     apply_morphism,
@@ -344,20 +348,27 @@ def _lift(family, image):
     return _trusted(family.algebra.gens, terms)
 
 
-def _straight_concordance(f0, f1, family, cyl, witness=None):
-    """The straight cylinder from f0 to f1 on cyl, with dt times a witness.
+def _straight_concordance(f0, f1, r0, r1, x0, x1, family, cyl,
+                          witness=None):
+    """The straight cylinder from f0 to f1 on cyl, certified.
 
-    F0 and F1 lift the endpoints' images into the family's algebra B, and
-    the witness h has d(h) = F1 - F0 there: a given one (each g lifts its
-    degree |g|-1 part) is checked; an omitted one is zero when F1 = F0,
-    and otherwise a primitive in _slices(B); where there is none, no
-    concordance exists.  Each named generator g takes its part of h after
-    dt, read back through its weight; each base generator of f0's bundle
-    maps to the constant inclusion of its image under f0's twist.  cyl,
-    the CylinderAlgebra over f0's target, is the caller's to reuse.
+    The one place a straight cylinder is built and checked.  r0 and r1
+    are _verify_datum's reports on f0 and f1, and x0 and x1 their lifts
+    into the family's algebra B.  The witness h has d(h) = x1 - x0 in B:
+    a given one (each g lifts its degree |g|-1 part) is checked, else
+    ValueError; an omitted one is zero when x1 = x0, and otherwise a
+    primitive in _slices(B); where there is none, no concordance exists
+    and NotConcordant is raised.  Each named generator g maps to
+    (1-t) f0(g) + t f1(g) + dt times its part of h, read back through its
+    weight; each base generator of f0's bundle maps to the constant
+    inclusion of its image under f0's twist.  The cylinder's report,
+    _concordance_report on r0 and r1, must pass, and the witness
+    integrated back off the cylinder and lifted into B must again have
+    d = x1 - x0; either failure raises RuntimeError.  cyl, the
+    CylinderAlgebra over f0's target, is the caller's to reuse.
     """
     zero, degree_of = f0.target.zero(), f0.coefficients.gens.degree_of
-    diff = _lift(family, f1.image) - _lift(family, f0.image)
+    diff = x1 - x0
     if witness is None:
         witness = diff if diff.is_zero() else family.complex.primitive(
             family.grade, diff)
@@ -384,24 +395,35 @@ def _straight_concordance(f0, f1, family, cyl, witness=None):
         assignment[name] = (s * cyl.inclusion(f0.image(name))
                             + t * cyl.inclusion(f1.image(name))
                             + dt * cyl.inclusion(h))
-    return ConcordanceDatum(cyl, f0, f1, assignment)
+    ccd = ConcordanceDatum(cyl, f0, f1, assignment)
+    if not _concordance_report(ccd, r0, r1).passed:
+        raise RuntimeError("straight concordance failed verification")
+    back = _lift(family, lambda n: fiber_integrate(cyl, ccd.image(n)))
+    if apply_d(family.algebra, back) != diff:
+        raise RuntimeError("extracted witness does not integrate "
+                           "the endpoint difference")
+    return ccd
 
 
 def linear_concordance(f0, f1, h=None, polybound=None):
-    """Straight cylinder between two data of one decidable family.
+    """Certified straight cylinder between two data of one decidable family.
 
     Both endpoints are verified first, then must share bundle,
     coefficients, target and twist, else ValueError; coefficients _family
     does not recognize raise NotImplementedError.  A generator of degree k
     takes h's degree k-1 part, and h lifted to the family's algebra B has
     d(h) = F1 - F0.  When h is omitted it is searched in _slices(B); if
-    none exists the construction is refused, as no concordance exists.
+    none exists the construction is refused with NotConcordant, as no
+    concordance exists.  The cylinder is certified by
+    _straight_concordance, with the endpoint reports already taken here.
     """
+    reports = []
     for which, f in (("f0", f0), ("f1", f1)):
         rep = _verify_datum(f)
         if not rep.passed:
             raise ValueError("endpoint %s fails verification: %r"
                              % (which, rep))
+        reports.append(rep)
     b0, b1 = (f.bundle and (f.bundle.base, f.bundle.total) for f in (f0, f1))
     if b0 != b1:
         raise ValueError("endpoints live over different bundles")
@@ -411,8 +433,10 @@ def linear_concordance(f0, f1, h=None, polybound=None):
         raise ValueError("endpoints have different targets")
     if f0.twist is not None and f0.twist.morphism != f1.twist.morphism:
         raise ValueError("endpoints have different twists")
-    return _straight_concordance(f0, f1, _family(f0, polybound),
-                                 CylinderAlgebra(f0.target), h)
+    family = _family(f0, polybound)
+    return _straight_concordance(
+        f0, f1, *reports, _lift(family, f0.image), _lift(family, f1.image),
+        family, CylinderAlgebra(f0.target), h)
 
 
 class QuotientResult:
@@ -454,16 +478,13 @@ def _lattice_classes(zero, lattice, polybound=None):
     lifted into B once, and its key is the class of that lift.  Each datum
     passes _verify_datum exactly once: the first member of each class
     before its cylinders, each later member as the far end of its own.  On
-    one CylinderAlgebra the straight cylinder joins the first member to
-    each later one, and its report, verify_concordance's, reuses both
-    endpoint reports and adds the cylinder's chain map, its ev0 and ev1
-    restrictions and, for twisted data, twist constancy.  Each witness
-    integrated off one is lifted into B and re-checked with apply_d
-    against the endpoints' lifts.  Across classes, differences of first
-    members' lifts must have no primitive in _slices(B): all pairs up to
-    16 classes, else a chain and a star.  Returns (family, classes,
-    concordances, refusals); classes hold (datum, lift) pairs in creation
-    order.
+    one CylinderAlgebra _straight_concordance joins the first member to
+    each later one, given both endpoint reports and lifts, and certifies
+    the cylinder; this loop checks nothing of it.  Across classes,
+    differences of first members' lifts must have no primitive in
+    _slices(B): all pairs up to 16 classes, else a chain and a star.
+    Returns (family, classes, concordances, refusals); classes hold
+    (datum, lift) pairs in creation order.
     """
     family = _family(zero, polybound)
     lattice = [_rational(v, "lattice value") for v in lattice]
@@ -499,13 +520,8 @@ def _lattice_classes(zero, lattice, polybound=None):
         if not r0.passed:
             raise RuntimeError("enumerated datum failed verification")
         for d1, x1 in rest:
-            ccd = _straight_concordance(d0, d1, family, cyl)
-            if not _concordance_report(ccd, r0, _verify_datum(d1)).passed:
-                raise RuntimeError("straight concordance failed verification")
-            h = _lift(family, lambda n: fiber_integrate(cyl, ccd.image(n)))
-            if apply_d(family.algebra, h) != x1 - x0:
-                raise RuntimeError("extracted witness does not integrate "
-                                   "the endpoint difference")
+            _straight_concordance(d0, d1, r0, _verify_datum(d1), x0, x1,
+                                  family, cyl)
     reps = [members[0][1] for members in classes.values()]
     if len(reps) <= 16:
         pairs = list(itertools.combinations(range(len(reps)), 2))
@@ -524,7 +540,7 @@ def _lattice_classes(zero, lattice, polybound=None):
 
 def line_algebra(n):
     """One closed generator in degree n+1: coefficients for (n+1)-forms."""
-    if n < 0:
+    if _integer(n, "n") < 0:
         raise ValueError("n must be nonnegative")
     return DGCA([("c%d" % (n + 1), n + 1)])
 
@@ -560,7 +576,7 @@ def twisted_ku_bundle(kmax):
     Total generators h3 (degree 3) and f1, f3, ..., f_{2*kmax+1} with
     d f_k = h3 * f_{k-2}; the base is the closed degree-3 generator alone.
     """
-    if kmax < 0:
+    if _integer(kmax, "kmax") < 0:
         raise ValueError("kmax must be nonnegative")
     pairs = [("h3", 3)] + [("f%d" % k, k) for k in range(1, 2 * kmax + 2, 2)]
     total = DGCA(pairs)
@@ -600,9 +616,11 @@ def twisted_ku_quotient(omega, twist_form, lattice, kmax=4):
 def decide_concordance(f0, f1, polybound=None):
     """Decide concordance where a decision procedure exists.
 
-    Returns a verified ConcordanceDatum when the data are concordant and
-    None when they are provably not.  The decision goes by the coefficient
-    family (_family), read off the data and never their type: only line
+    Returns linear_concordance's certified ConcordanceDatum when the data
+    are concordant and None when they are provably not; the endpoints are
+    verified once, and the cylinder is certified by the same join as the
+    lattice quotients'.  The decision goes by the coefficient family
+    (_family), read off the data and never their type: only line
     coefficients and the h3-twisted periodic family are decidable here.
     Both are decided as line data over the family's algebra B.  For any
     other coefficients, twisted data over any other bundle included,
@@ -611,12 +629,9 @@ def decide_concordance(f0, f1, polybound=None):
     linear_concordance cannot join, raise ValueError.
     """
     try:
-        ccd = linear_concordance(f0, f1, polybound=polybound)
+        return linear_concordance(f0, f1, polybound=polybound)
     except NotConcordant:
         return None
-    if not verify_concordance(ccd).passed:
-        raise RuntimeError("constructed concordance failed verification")
-    return ccd
 
 
 # -- the twistorial preset -----------------------------------------------------

@@ -25,6 +25,7 @@ the descent parser.  Errors carry line:column positions.
 parse -> print -> parse is the identity on the abstract form.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from ..core_algebra import AlgebraMorphism, GeneratorSet
@@ -105,39 +106,9 @@ def _lex(text):
     return tokens
 
 
-class MorphismDecl:
-    def __init__(self, name, source, target, morphism):
-        self.name = name
-        self.source = source
-        self.target = target
-        self.morphism = morphism
-
-    def __eq__(self, other):
-        return (isinstance(other, MorphismDecl) and self.name == other.name
-                and self.source == other.source and self.target == other.target
-                and self.morphism.assignment == other.morphism.assignment)
-
-
-class MatrixDecl:
-    def __init__(self, name, algebra, rows):
-        self.name = name
-        self.algebra = algebra
-        self.rows = rows
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixDecl) and self.name == other.name
-                and self.algebra == other.algebra and self.rows == other.rows)
-
-
-class TwistDecl:
-    def __init__(self, name, algebra, form):
-        self.name = name
-        self.algebra = algebra
-        self.form = form
-
-    def __eq__(self, other):
-        return (isinstance(other, TwistDecl) and self.name == other.name
-                and self.algebra == other.algebra and self.form == other.form)
+MorphismDecl = namedtuple("MorphismDecl", "name source target morphism")
+MatrixDecl = namedtuple("MatrixDecl", "name algebra rows")
+TwistDecl = namedtuple("TwistDecl", "name algebra form")
 
 
 class ModelFile:

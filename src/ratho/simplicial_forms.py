@@ -44,7 +44,7 @@ class SimplexAlgebra:
 
     def coordinate(self, j):
         """Barycentric t_j as a polynomial, including the eliminated t_n."""
-        if not 0 <= j <= self.n:
+        if not 0 <= _integer(j, "coordinate index") <= self.n:
             raise ValueError("coordinate index out of range")
         A = self.algebra
         if j < self.n:
@@ -85,9 +85,9 @@ def face_pullback(i, n):
     Coordinates map by t_j -> t_j (j < i), t_i -> 0, t_j -> t_{j-1} (j > i);
     an image hitting the eliminated coordinate is substituted out.
     """
-    if n < 1:
+    if _integer(n, "simplex dimension") < 1:
         raise ValueError("face pullback needs n >= 1")
-    if not 0 <= i <= n:
+    if not 0 <= _integer(i, "face index") <= n:
         raise ValueError("face index out of range")
     return _pullback(n, n - 1, lambda j: [j] if j < i else
                      [] if j == i else [j - 1])
@@ -98,7 +98,8 @@ def degeneracy_pullback(i, n):
 
     t_i picks up the sum of its two preimage coordinates; later ones shift up.
     """
-    if not 0 <= i <= n:
+    n = _integer(n, "simplex dimension")
+    if not 0 <= _integer(i, "degeneracy index") <= n:
         raise ValueError("degeneracy index out of range")
     return _pullback(n, n + 1, lambda j: [j] if j < i else
                      [i, i + 1] if j == i else [j + 1])

@@ -1,5 +1,6 @@
 import collections
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from ratho.character import (
     TwistedFlatFormDatum,
     constant_concordance,
     decide_concordance,
+    line_algebra,
     line_datum,
     line_quotient,
     linear_concordance,
@@ -33,6 +35,7 @@ from ratho.dgca import DGCA, check_d_squared
 from ratho.linfty import brackets_from_ce, ce_from_brackets
 from ratho.minimal_model import RelativeExtension, cofiber
 from ratho.simplicial_forms import (CylinderAlgebra, SimplexAlgebra,
+                                   degeneracy_pullback, face_pullback,
                                    fiber_integrate)
 from ratho.twisted_derham import (
     TwistedComplex,
@@ -311,6 +314,34 @@ def test_reverse_concordance():
     assert back.morphism == ccd.morphism
 
 
+def _integer_parameters():
+    """name -> (the parameter's name in the error, a call passing it v)."""
+    t3 = corpus.algebra("t3")
+    xyz = t3.monomial({"x": 1, "y": 1, "z": 1})
+    return {
+        "line_algebra": ("n", line_algebra),
+        "line_quotient": ("n", lambda v: line_quotient(t3, v, (0,))),
+        "twisted_ku_bundle": ("kmax", twisted_ku_bundle),
+        "twisted_ku_quotient": ("kmax", lambda v: twisted_ku_quotient(
+            t3, xyz, (0,), kmax=v)),
+        "face_pullback": ("face index", lambda v: face_pullback(v, 2)),
+        "degeneracy_pullback": ("degeneracy index",
+                                lambda v: degeneracy_pullback(v, 2)),
+        "coordinate": ("coordinate index", SimplexAlgebra(2).coordinate),
+    }
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 1.0, "1"])
+@pytest.mark.parametrize("name", list(_integer_parameters()))
+def test_integer_parameters_must_be_integers(name, value):
+    # True would be read as 1, 1.0 and 1.5 reach range() or a degree, and
+    # "1" a bare comparison
+    what, call = _integer_parameters()[name]
+    with pytest.raises(ValueError, match=re.escape(
+            "%s %r is not an integer" % (what, value))):
+        call(value)
+
+
 def test_line_quotient_sphere():
     omega = _sphere3()
     res = line_quotient(omega, 2, range(-2, 3))
@@ -529,7 +560,9 @@ def test_reflexive_straight_cylinder_is_the_constant_concordance(which):
         reps = [line_datum(omega, 0, p) for p in reps]
     family, cyl = character._family(reps[0]), CylinderAlgebra(omega)
     for d0 in reps:
-        ccd = character._straight_concordance(d0, d0, family, cyl)
+        r0, x0 = character._verify_datum(d0), character._lift(family, d0.image)
+        ccd = character._straight_concordance(d0, d0, r0, r0, x0, x0,
+                                              family, cyl)
         assert ccd.morphism == constant_concordance(d0).morphism
         assert verify_concordance(ccd).passed
 
@@ -626,8 +659,8 @@ def test_each_enumerated_datum_is_verified(monkeypatch, which):
 def test_lattice_classes_verify_and_lift_each_datum_once(monkeypatch, which):
     # no reflexive cylinder: one check per datum, the first member's before
     # its class's cylinders and each later member's as its cylinder's far
-    # end; one lift per datum when keyed and three per cylinder (its two
-    # endpoints and its integrated witness)
+    # end; one lift per datum when keyed, which the cylinder reuses for its
+    # endpoints, and one per cylinder for its integrated witness
     calls = collections.Counter()
 
     def counting(name):
@@ -647,24 +680,22 @@ def test_lattice_classes_verify_and_lift_each_datum_once(monkeypatch, which):
     assert calls["_straight_concordance"] == res.concordances
     assert calls["_verify_datum"] == data == res.class_count + res.concordances
     assert calls["_verify_datum"] == {"line_T5": 243, "twisted_t3": 81}[which]
-    assert calls["_lift"] == data + 3 * res.concordances == 243
+    assert calls["_lift"] == data + res.concordances == {
+        "line_T5": 243, "twisted_t3": 135}[which]
 
 
 def test_lattice_classes_refuse_a_cylinder_with_one_extra_term(monkeypatch):
-    # the cylinder's own checks still run: t times a term of one image
+    # the join checks the cylinder it builds: t times a term of one image
     # keeps ev0 and breaks ev1
-    straight = character._straight_concordance
-
-    def tampered(f0, f1, family, cyl, witness=None):
-        ccd = straight(f0, f1, family, cyl, witness)
-        images = dict(ccd.morphism.assignment)
-        name = next(n for n in family.names if images[n].terms)
+    def tampered(cyl, f0, f1, assignment):
+        images = dict(assignment)
+        name = next(n for n in f0.bundle.new_names if images[n].terms)
         m, c = next(iter(images[name].terms.items()))
         images[name] = images[name] + cyl.algebra.gen(cyl.t_name) * \
             cyl.algebra.gens.from_exponents(m, c)
         return ConcordanceDatum(cyl, f0, f1, images)
 
-    monkeypatch.setattr(character, "_straight_concordance", tampered)
+    monkeypatch.setattr(character, "ConcordanceDatum", tampered)
     _, run = _benchmark_quotient("twisted_t3")
     with pytest.raises(RuntimeError,
                        match="straight concordance failed verification"):
@@ -687,6 +718,75 @@ def test_lattice_classes_read_each_later_members_own_report(monkeypatch):
     with pytest.raises(RuntimeError,
                        match="straight concordance failed verification"):
         run()
+
+
+def _join_routes():
+    """Each route to the join, on endpoints whose difference is not zero."""
+    cof = _cofiber_algebra()
+    f0 = line_datum(cof, 3, cof.monomial({"f2": 2}))
+    f1 = line_datum(cof, 3, cof.gen("w4"))
+    t3 = corpus.algebra("t3")
+    xyz = t3.monomial({"x": 1, "y": 1, "z": 1})
+    return {
+        "decide": lambda: decide_concordance(f0, f1),
+        "linear": lambda: linear_concordance(f0, f1),
+        "linear_h": lambda: linear_concordance(f0, f1, h=cof.gen("h3")),
+        "line_quotient": lambda: line_quotient(
+            SimplexAlgebra(1).algebra, 0, (-1, 0, 1), polybound=3),
+        "twisted_ku_quotient": lambda: twisted_ku_quotient(
+            t3, xyz, (-1, 0, 1), kmax=1),
+    }
+
+
+@pytest.mark.parametrize("route", list(_join_routes()))
+def test_every_route_rechecks_the_integrated_witness(monkeypatch, route):
+    # twice the true integral has twice the endpoint difference as its d
+    integrate = character.fiber_integrate
+    monkeypatch.setattr(character, "fiber_integrate",
+                        lambda C, w: 2 * integrate(C, w))
+    with pytest.raises(RuntimeError, match="extracted witness does not "
+                       "integrate the endpoint difference"):
+        _join_routes()[route]()
+
+
+def _decide_pairs(which):
+    """f0, a datum concordant with it and one that is not."""
+    if which == "line":
+        cof = _cofiber_algebra()
+        f2f2 = cof.monomial({"f2": 2})
+        return (line_datum(cof, 3, f2f2), line_datum(cof, 3, cof.gen("w4")),
+                line_datum(cof, 3, 2 * f2f2))
+    omega = _torus3()
+    H, x = omega.monomial({"x": 1, "y": 1, "z": 1}), omega.gen("x")
+    return (_torus_ku(omega, H, x, omega.zero()),
+            _torus_ku(omega, H, x, 2 * H),
+            _torus_ku(omega, H, omega.gen("z"), omega.zero()))
+
+
+@pytest.mark.parametrize("which", ["line", "h3"])
+def test_decide_concordance_verifies_each_endpoint_once(monkeypatch, which):
+    # the join reads the endpoint reports decide's own checks took, and a
+    # refusal comes from the witness search, before any cylinder is built
+    f0, same, other = _decide_pairs(which)
+    calls = collections.Counter()
+    verify, build = character._verify_datum, character.ConcordanceDatum
+
+    def verifying(F):
+        calls["_verify_datum"] += 1
+        return verify(F)
+
+    def building(*args):
+        calls["ConcordanceDatum"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(character, "_verify_datum", verifying)
+    monkeypatch.setattr(character, "ConcordanceDatum", building)
+    ccd = decide_concordance(f0, same)
+    assert calls == {"_verify_datum": 2, "ConcordanceDatum": 1}
+    assert verify_concordance(ccd).passed
+    calls.clear()
+    assert decide_concordance(f0, other) is None
+    assert calls == {"_verify_datum": 2}
 
 
 def test_verify_concordance_reports_both_endpoints():

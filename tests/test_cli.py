@@ -640,10 +640,11 @@ def test_failed_certificate_exits_1_without_a_traceback(tmp_path, capsys,
                  "morphism F1 : line -> om { c1 = x; }\n")
     assert _run(["verify-concordance", str(f)], capsys) == (
         0, "concordant: yes\n", "")
-    # decide_concordance checks the concordance it builds; make that fail
-    monkeypatch.setattr(character, "verify_concordance",
-                        lambda ccd: types.SimpleNamespace(passed=False))
-    message = "constructed concordance failed verification"
+    # the straight cylinder is checked where it is built; make that fail
+    monkeypatch.setattr(character, "_concordance_report",
+                        lambda ccd, r0, r1: types.SimpleNamespace(
+                            passed=False))
+    message = "straight concordance failed verification"
     assert _run(["verify-concordance", str(f)], capsys) == (
         1, message + "\n", "")
     code, out, err = _run(["verify-concordance", "--json", str(f)], capsys)

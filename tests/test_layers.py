@@ -9,7 +9,9 @@ Concordance has one decision route: character.py imports nothing from
 twisted_derham.py, the residue complex of twisted de Rham cohomology
 (_residues) stays inside twisted_derham.py, and a decidable family
 (character._Family) carries no differential of its own: witnesses are
-checked with apply_d on the family's algebra.
+checked with apply_d on the family's algebra.  A straight cylinder has one
+join: only _straight_concordance reads a cylinder's report besides
+verify_concordance, and only it integrates a witness off a cylinder.
 
 The layers perfbench/tracer.py wraps must exist too: each LAYERS path
 resolves to a function the way Tracer.install looks it up, so removing or
@@ -95,6 +97,29 @@ def test_character_imports_nothing_from_twisted_derham():
 def test_families_carry_no_differential():
     from ratho import character
     assert "d" not in character._Family._fields
+
+
+def _callers(tree, names):
+    """name -> the functions whose bodies call it."""
+    out = {name: set() for name in names}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                        and n.func.id in out:
+                    out[n.func.id].add(fn.name)
+    return out
+
+
+def test_one_join_certifies_every_straight_cylinder():
+    tree = ast.parse((SRC / "character.py").read_text(encoding="utf-8"))
+    assert _callers(tree, ("_concordance_report", "fiber_integrate",
+                           "verify_concordance")) == {
+        "_concordance_report": {"verify_concordance",
+                                "_straight_concordance"},
+        "fiber_integrate": {"_straight_concordance"},
+        "verify_concordance": set(),
+    }
 
 
 def test_every_module_is_checked():

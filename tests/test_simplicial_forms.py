@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,15 @@ def test_simplex_dimension_must_be_an_integer():
     with pytest.raises(ValueError,
                        match="simplex dimension 1.5 is not an integer"):
         SimplexAlgebra(1.5)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, "1"])
+@pytest.mark.parametrize("pullback", [face_pullback, degeneracy_pullback])
+def test_pullback_dimension_must_be_an_integer(pullback, value):
+    # checked before the index, so the message names the value passed
+    with pytest.raises(ValueError, match=re.escape(
+            "simplex dimension %r is not an integer" % (value,))):
+        pullback(0, value)
 
 
 def test_point_simplex():
