@@ -54,7 +54,9 @@ from fractions import Fraction
 
 from .core_algebra import (
     AlgebraMorphism,
+    GeneratorSet,
     Polynomial,
+    _embed,
     _integer,
     _rational,
     _trusted,
@@ -64,7 +66,7 @@ from .core_algebra import (
 )
 from .dgca import (DGCA, _residuals, _slices, apply_d, is_chain_map,
                    is_exact, tensor)
-from .minimal_model import RelativeExtension, _relative_sullivan
+from .minimal_model import RelativeExtension, _keep, _relative_sullivan
 from .simplicial_forms import CylinderAlgebra, fiber_integrate
 from .chern_weil import inv_ring_sp2
 
@@ -327,8 +329,7 @@ def _family(f, polybound=None):
             u = next(n for n in map("u%d".__mod__, itertools.count())
                      if n not in target.gens.names)
             B = tensor(target, DGCA([(u, 2)]))
-            B = DGCA(B.gens, {**B.d, u: -apply_morphism(
-                morphism_by_names(target, B), f.twist.image("h3"))})
+            B = DGCA(B.gens, {**B.d, u: -_embed(f.twist.image("h3"), B.gens)})
             weights = {n: ((kmax - i,), Fraction(1, math.factorial(kmax - i)))
                        for i, n in enumerate(bundle.new_names)}
             return _Family(bundle.new_names, B, _slices(B, polybound),
@@ -578,13 +579,10 @@ def twisted_ku_bundle(kmax):
     """
     if _integer(kmax, "kmax") < 0:
         raise ValueError("kmax must be nonnegative")
-    pairs = [("h3", 3)] + [("f%d" % k, k) for k in range(1, 2 * kmax + 2, 2)]
-    total = DGCA(pairs)
-    g = total.gens
-    d = {}
-    for k in range(3, 2 * kmax + 2, 2):
-        d["f%d" % k] = g.gen("h3") * g.gen("f%d" % (k - 2))
-    total = DGCA(g, d)
+    g = GeneratorSet([("h3", 3)] + [("f%d" % k, k)
+                                    for k in range(1, 2 * kmax + 2, 2)])
+    total = DGCA(g, {"f%d" % k: g.gen("h3") * g.gen("f%d" % (k - 2))
+                     for k in range(3, 2 * kmax + 2, 2)})
     return RelativeExtension(DGCA([("h3", 3)]), total)
 
 
@@ -642,28 +640,32 @@ class TwistorialPreset:
     omega is free on F2, H3, G4, q (a quarter of the first Pontrjagin
     form), e8 and G7, with dH3 = G4 - q - F2^2 and
     d(2 G7) = -(G4 - q)(G4 + q) - e8.  datum carries the full twistor
-    bundle over the symplectic invariant ring; pushforward is the
-    sub-datum on the quaternionic-Hopf stage (G4, 2 G7 alone).
-    charge_form = G4 - q - F2^2 is exact with witness H3.
+    bundle over the symplectic invariant ring; pushforward is its
+    restriction to the quaternionic-Hopf stage (G4, 2 G7 alone), the
+    sub-DGCA of datum's total algebra on hp1, ch8, w4, w7, with datum's
+    images.  charge_form is omega's d H3, exact with witness H3.
     """
 
     def __init__(self, omega, datum, pushforward):
         self.omega = omega
         self.datum = datum
         self.pushforward = pushforward
-        g = omega.gens
-        self.charge_form = (g.gen("G4") - g.gen("q")
-                            - g.monomial({"F2": 2}))
+        self.charge_form = omega.d["H3"]
 
     def charge_witness(self):
         return is_exact(self.omega, self.charge_form)
 
 
 def preset_twistorial():
-    """The twistorial Bianchi system, pre-verified shapes included."""
-    omega = DGCA([("F2", 2), ("H3", 3), ("G4", 4), ("q", 4), ("e8", 8),
-                  ("G7", 7)])
-    g = omega.gens
+    """The twistorial Bianchi system, pre-verified shapes included.
+
+    Only omega and the twistor bundle's total algebra are typed here.  The
+    quaternionic-Hopf stage is the sub-DGCA of total on hp1, ch8, w4 and
+    w7, and the pushforward sends each stage generator to its image under
+    datum.
+    """
+    g = GeneratorSet([("F2", 2), ("H3", 3), ("G4", 4), ("q", 4), ("e8", 8),
+                      ("G7", 7)])
     omega = DGCA(g, d={
         "H3": g.gen("G4") - g.gen("q") - g.monomial({"F2": 2}),
         "G7": (-Fraction(1, 2) * g.monomial({"G4": 2})
@@ -671,9 +673,8 @@ def preset_twistorial():
                - Fraction(1, 2) * g.gen("e8")),
     })
     base = inv_ring_sp2().algebra
-    total = DGCA([("hp1", 4), ("ch8", 8), ("f2", 2), ("h3", 3), ("w4", 4),
-                  ("w7", 7)])
-    tg = total.gens
+    tg = GeneratorSet([("hp1", 4), ("ch8", 8), ("f2", 2), ("h3", 3),
+                       ("w4", 4), ("w7", 7)])
     total = DGCA(tg, d={
         "h3": (tg.gen("w4") - Fraction(1, 2) * tg.gen("hp1")
                - tg.monomial({"f2": 2})),
@@ -681,29 +682,19 @@ def preset_twistorial():
                + Fraction(1, 4) * tg.monomial({"hp1": 2})
                - tg.gen("ch8")),
     })
-    bundle = RelativeExtension(base, total)
     twist = FlatFormDatum(base, omega, {
         "hp1": 2 * g.gen("q"),
         "ch8": g.gen("e8"),
     })
-    datum = TwistedFlatFormDatum(bundle, twist, {
+    datum = TwistedFlatFormDatum(RelativeExtension(base, total), twist, {
         **twist.morphism.assignment,
         "f2": g.gen("F2"),
         "h3": g.gen("H3"),
         "w4": g.gen("G4"),
         "w7": 2 * g.gen("G7"),
     })
-    stage = DGCA([("hp1", 4), ("ch8", 8), ("w4", 4), ("w7", 7)])
-    sg = stage.gens
-    stage = DGCA(sg, d={
-        "w7": (-sg.monomial({"w4": 2})
-               + Fraction(1, 4) * sg.monomial({"hp1": 2})
-               - sg.gen("ch8")),
-    })
-    stage_bundle = RelativeExtension(base, stage)
-    pushforward = TwistedFlatFormDatum(stage_bundle, twist, {
-        **twist.morphism.assignment,
-        "w4": g.gen("G4"),
-        "w7": 2 * g.gen("G7"),
-    })
+    stage = _keep(total, ("hp1", "ch8", "w4", "w7"))
+    pushforward = TwistedFlatFormDatum(
+        RelativeExtension(base, stage), twist,
+        {n: datum.image(n) for n in stage.gens.names})
     return TwistorialPreset(omega, datum, pushforward)

@@ -411,7 +411,7 @@ def _cmd_verify_concordance(args, mf):
     third = morphs[2]
     cyl = CylinderAlgebra(f0.target)
     declared = mf.algebras[third.target]
-    if declared.gens != cyl.algebra.gens or declared.d != cyl.algebra.d:
+    if declared != cyl.algebra:
         raise UsageError(
             "the third morphism must land in the cylinder algebra: base "
             "generators, then %s:0 and %s:1 with d %s = %s"

@@ -17,7 +17,9 @@ dicts {monomial: Fraction} (_add_terms, _mul_terms), which delete a term
 as soon as it cancels: their output has no zero coefficient, and
 _trusted wraps it without filtering again.  A morphism whose generator
 images have at most one term each folds every input term into one
-output term (_fold_term) instead of multiplying term dicts.
+output term (_fold_term) instead of multiplying term dicts.  _embed is
+the one exponent pad: it carries a polynomial over a block of generators
+into a larger set that holds the block, as a tensor factor or a prefix.
 
 basis_of_degree is output-sensitive: bit masks hold the degrees that can
 be left before each position and completed after it, and suffix tables,
@@ -222,6 +224,15 @@ def _trusted(gens, terms):
     p = Polynomial.__new__(Polynomial)
     p.gens, p.terms = gens, terms
     return p
+
+
+def _embed(p, gens, offset=0):
+    """p carried into gens, whose block of generators starting at offset
+    is p.gens: each exponent vector is padded with zeros on both sides.
+    Nothing is checked."""
+    left = (0,) * offset
+    right = (0,) * (len(gens) - offset - len(p.gens))
+    return _trusted(gens, {left + m + right: c for m, c in p.terms.items()})
 
 
 class Polynomial:
@@ -563,16 +574,15 @@ def _fold_term(tgens, images, m, c):
 def morphism_by_names(source, target, overrides=None):
     """Morphism sending each generator to the same-named target generator.
 
-    overrides maps selected source generator names to explicit images.
+    overrides maps selected source generator names to explicit images; a
+    name that is no source generator is refused, as AlgebraMorphism
+    refuses it.
     """
     sgens = gens_of(source)
     tgens = gens_of(target)
-    overrides = overrides or {}
-    assignment = {}
+    assignment = dict(overrides or {})
     for name in sgens.names:
-        if name in overrides:
-            assignment[name] = overrides[name]
-        else:
+        if name not in assignment:
             if name not in tgens.index:
                 raise ValueError("target has no generator %r" % name)
             assignment[name] = tgens.gen(name)

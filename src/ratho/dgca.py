@@ -40,6 +40,7 @@ from .core_algebra import (
     GeneratorSet,
     Polynomial,
     AlgebraMorphism,
+    _embed,
     _integer,
     _trusted,
     apply_morphism,
@@ -358,9 +359,13 @@ def tensor(A, B, rename=None):
     """Tensor product DGCA (the coproduct); generator names must not clash.
 
     rename maps B generator names to replacements, as the renaming hook
-    for clashes.
+    for clashes; a key that names no generator of B is refused.
     """
     rename = rename or {}
+    unknown = set(rename) - set(B.gens.names)
+    if unknown:
+        raise ValueError("tensor: rename of %s, which B does not have"
+                         % sorted(unknown))
     b_names = [rename.get(n, n) for n in B.gens.names]
     clash = set(A.gens.names) & set(b_names)
     if clash:
@@ -369,17 +374,7 @@ def tensor(A, B, rename=None):
     gens = GeneratorSet(
         list(zip(A.gens.names, A.gens.degrees))
         + list(zip(b_names, B.gens.degrees)))
-    na, nb = len(A.gens), len(B.gens)
-
-    def embed_a(p):
-        return _trusted(gens, {m + (0,) * nb: c for m, c in p.terms.items()})
-
-    def embed_b(p):
-        return _trusted(gens, {(0,) * na + m: c for m, c in p.terms.items()})
-
-    d = {}
-    for n in A.gens.names:
-        d[n] = embed_a(A.d[n])
+    d = {n: _embed(A.d[n], gens) for n in A.gens.names}
     for old, new in zip(B.gens.names, b_names):
-        d[new] = embed_b(B.d[old])
+        d[new] = _embed(B.d[old], gens, len(A.gens))
     return DGCA(gens, d)

@@ -26,8 +26,8 @@ relative legs are the absolute checks of linfty's dependency-graph helpers
 from .core_algebra import (
     AlgebraMorphism,
     GeneratorSet,
+    _embed,
     _integer,
-    _trusted,
     apply_morphism,
     compose_morphisms,
     morphism_by_names,
@@ -55,12 +55,6 @@ class MinimalModelResult:
 
     def __repr__(self):
         return "MinimalModelResult(bound=%d, counts=%r)" % (self.bound, self.counts)
-
-
-def _embed(p, gens):
-    # re-express a polynomial over a prefix generator set in the grown one
-    pad = (0,) * (len(gens) - len(p.gens))
-    return _trusted(gens, {m + pad: c for m, c in p.terms.items()})
 
 
 def minimal_model(A, N, polybound=None, budget=64):
@@ -200,18 +194,21 @@ def verify_relative(ext, target, N, base_map=None, polybound=None):
     return RelativeReport(cert, offenders, quasi_ok, detail)
 
 
+def _keep(A, names):
+    """The DGCA on A's generators in names, in A's order, whose d is A's
+    read through the morphism that sends every other generator to zero.
+
+    When the others span a sub-DGCA (a base) this is the cofiber; when
+    the d of names never leaves them it is the sub-DGCA on names.
+    Neither is checked here.
+    """
+    gens = GeneratorSet([g for g in A.gens.gens if g.name in names])
+    kill = morphism_by_names(A, gens, overrides=dict.fromkeys(
+        (n for n in A.gens.names if n not in gens.index), gens.zero()))
+    return DGCA(gens, {n: kill(A.d[n]) for n in gens.names})
+
+
 def cofiber(ext):
-    """Quotient of the total algebra by the base: keep new generators, zero the rest."""
-    gens = ext.total.gens
-    keep = [i for i, n in enumerate(gens.names) if n in ext.new_names]
-    new_pairs = [(gens.names[i], gens.degrees[i]) for i in keep]
-    new_gens = GeneratorSet(new_pairs)
-    d = {}
-    for g in ext.new_names:
-        out = new_gens.zero()
-        for m, c in ext.total.d[g].terms.items():
-            if any(m[i] for i in range(len(m)) if i not in keep):
-                continue
-            out = out + new_gens.from_exponents(tuple(m[i] for i in keep), c)
-        d[g] = out
-    return DGCA(new_gens, d)
+    """Quotient of the total algebra by the base: the new generators, with
+    d the total one read through the morphism zeroing the base (_keep)."""
+    return _keep(ext.total, ext.new_names)

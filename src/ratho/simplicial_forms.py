@@ -19,6 +19,7 @@ hold identically.
 
 from .core_algebra import (
     AlgebraMorphism,
+    GeneratorSet,
     GeneratorSetMismatch,
     _add_terms,
     _integer,
@@ -36,11 +37,10 @@ class SimplexAlgebra:
         if n < 0:
             raise ValueError("simplex dimension must be >= 0")
         self.n = n
-        pairs = ([("t%d" % i, 0) for i in range(n)]
-                 + [("dt%d" % i, 1) for i in range(n)])
-        A = DGCA(pairs)
+        gens = GeneratorSet([("t%d" % i, 0) for i in range(n)]
+                            + [("dt%d" % i, 1) for i in range(n)])
         self.algebra = DGCA(
-            A.gens, d={"t%d" % i: A.gens.gen("dt%d" % i) for i in range(n)})
+            gens, d={"t%d" % i: gens.gen("dt%d" % i) for i in range(n)})
 
     def coordinate(self, j):
         """Barycentric t_j as a polynomial, including the eliminated t_n."""

@@ -1,19 +1,25 @@
-"""The earlier minimal-model loop: the oracle for its rebuild-on-adjoin path.
+"""Earlier texts of minimal_model and cofiber, kept as oracles.
 
-This is the construction as ratho ran it before the model and its complex
-were rebuilt only after a step adjoins: every step n = 0 .. N+1 makes a
-fresh GeneratorSet, DGCA and validated AlgebraMorphism and a fresh Complex
-of the model, whether or not the step before it added a generator.  It
-repeats work but is short enough to check by eye.  Tests compare the
-library's minimal_model against it presentation by presentation.  The
-body is the earlier function's text; the helpers it calls (_embed,
-BudgetExceeded, MinimalModelResult and the kernels) are the library's.
+minimal_model is the construction as ratho ran it before the model and
+its complex were rebuilt only after a step adjoins: every step n = 0 ..
+N+1 makes a fresh GeneratorSet, DGCA and validated AlgebraMorphism and a
+fresh Complex of the model, whether or not the step before it added a
+generator.  It repeats work but is short enough to check by eye.  Tests
+compare the library's minimal_model against it presentation by
+presentation.  The body is the earlier function's text; the helpers it
+calls (_embed, BudgetExceeded, MinimalModelResult and the kernels) are
+the library's.
+
+cofiber is the quotient as ratho computed it before the projection went
+through the morphism kernel: a loop over the terms of each new
+generator's d that drops every term with a base factor and cuts the
+others to the new generators' exponents.
 """
 
-from ratho.core_algebra import (AlgebraMorphism, GeneratorSet, _integer,
-                                apply_morphism)
+from ratho.core_algebra import (AlgebraMorphism, GeneratorSet, _embed,
+                                _integer, apply_morphism)
 from ratho.dgca import DGCA, _induced, _slices
-from ratho.minimal_model import BudgetExceeded, MinimalModelResult, _embed
+from ratho.minimal_model import BudgetExceeded, MinimalModelResult
 
 
 def minimal_model(A, N, polybound=None, budget=64):
@@ -68,3 +74,20 @@ def minimal_model(A, N, polybound=None, budget=64):
     for _, deg in pairs:
         counts[deg] = counts.get(deg, 0) + 1
     return MinimalModelResult(M, phi, N, dict(sorted(counts.items())))
+
+
+def cofiber(ext):
+    """Quotient of the total algebra by the base: keep new generators, zero the rest."""
+    gens = ext.total.gens
+    keep = [i for i, n in enumerate(gens.names) if n in ext.new_names]
+    new_pairs = [(gens.names[i], gens.degrees[i]) for i in keep]
+    new_gens = GeneratorSet(new_pairs)
+    d = {}
+    for g in ext.new_names:
+        out = new_gens.zero()
+        for m, c in ext.total.d[g].terms.items():
+            if any(m[i] for i in range(len(m)) if i not in keep):
+                continue
+            out = out + new_gens.from_exponents(tuple(m[i] for i in keep), c)
+        d[g] = out
+    return DGCA(new_gens, d)

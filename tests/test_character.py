@@ -30,8 +30,9 @@ from ratho.character import (
     verify_twisted_flat,
 )
 from ratho.cli import corpus
-from ratho.core_algebra import AlgebraMorphism, basis_of_degree
-from ratho.dgca import DGCA, check_d_squared
+from ratho.core_algebra import (AlgebraMorphism, basis_of_degree,
+                                morphism_by_names)
+from ratho.dgca import DGCA, check_d_squared, is_chain_map
 from ratho.linfty import brackets_from_ce, ce_from_brackets
 from ratho.minimal_model import RelativeExtension, cofiber
 from ratho.simplicial_forms import (CylinderAlgebra, SimplexAlgebra,
@@ -1083,6 +1084,48 @@ def test_preset_twistorial_full_verification():
     assert rep.passed
     push = verify_twisted_flat(P.pushforward)
     assert push.passed
+
+
+# The twistorial system as it was typed by hand before preset_twistorial
+# read the stage, its images and the charge form off the twistor datum.
+def _hand_typed_twistorial():
+    g = DGCA([("F2", 2), ("H3", 3), ("G4", 4), ("q", 4), ("e8", 8),
+              ("G7", 7)]).gens
+    omega = DGCA(g, d={
+        "H3": g.gen("G4") - g.gen("q") - g.monomial({"F2": 2}),
+        "G7": (-Fraction(1, 2) * g.monomial({"G4": 2})
+               + Fraction(1, 2) * g.monomial({"q": 2})
+               - Fraction(1, 2) * g.gen("e8")),
+    })
+    sg = DGCA([("hp1", 4), ("ch8", 8), ("w4", 4), ("w7", 7)]).gens
+    stage = DGCA(sg, d={
+        "w7": (-sg.monomial({"w4": 2})
+               + Fraction(1, 4) * sg.monomial({"hp1": 2})
+               - sg.gen("ch8")),
+    })
+    twist = {"hp1": 2 * g.gen("q"), "ch8": g.gen("e8")}
+    images = {**twist, "w4": g.gen("G4"), "w7": 2 * g.gen("G7")}
+    datum = {**images, "f2": g.gen("F2"), "h3": g.gen("H3")}
+    charge = g.gen("G4") - g.gen("q") - g.monomial({"F2": 2})
+    return omega, stage, twist, images, datum, charge
+
+
+def test_preset_twistorial_derives_the_hand_typed_system():
+    P = preset_twistorial()
+    omega, stage, twist, images, datum, charge = _hand_typed_twistorial()
+    assert P.omega == omega
+    assert P.datum.bundle.total == corpus.algebra("twistor")
+    assert P.pushforward.bundle.total == stage
+    for F, assignment in ((P.datum, datum), (P.pushforward, images)):
+        assert F.target == omega
+        assert F.bundle.base == corpus.algebra("sp2inv")
+        assert F.twist.morphism.assignment == twist
+        assert F.morphism.assignment == assignment
+    assert P.charge_form == charge
+    # the stage is a sub-DGCA: no term of d was dropped to derive it
+    inclusion = morphism_by_names(P.pushforward.bundle.total,
+                                  P.datum.bundle.total)
+    assert is_chain_map(inclusion) == (True, [])
 
 
 def test_preset_twistorial_charge_witness():

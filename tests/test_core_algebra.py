@@ -17,6 +17,7 @@ from ratho.core_algebra import (
     GeneratorSetMismatch,
     Polynomial,
     UnboundedSliceError,
+    _embed,
     apply_morphism,
     basis_of_degree,
     compose_morphisms,
@@ -434,6 +435,21 @@ def test_morphism_by_names_overrides():
         "t0": tgt.one(), "dt0": tgt.zero()})
     p = src.gen("t0") * src.gen("w3")
     assert apply_morphism(ev1, p) == tgt.gen("w3")
+
+
+def test_morphism_by_names_refuses_an_override_of_no_source_generator():
+    # a misspelled override must not leave the identity in its place
+    src = GeneratorSet([("a", 2), ("b", 3)])
+    with pytest.raises(ValueError, match=r"unknown generators \['B'\]"):
+        morphism_by_names(src, src, overrides={"B": src.zero()})
+
+
+def test_embed_pads_a_block_on_both_sides():
+    gens = GeneratorSet([("a", 2), ("x", 1), ("y", 1), ("b", 3)])
+    block = GeneratorSet([("x", 1), ("y", 1)])
+    p = 3 * block.gen("x") * block.gen("y") - block.one()
+    assert _embed(p, gens, 1) == morphism_by_names(block, gens)(p)
+    assert _embed(block.zero(), gens, 1) == gens.zero()
 
 
 def _xyz():

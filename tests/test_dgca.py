@@ -326,6 +326,11 @@ def test_tensor_name_clash_and_rename():
     assert T.gens.names == ("w3", "w3b")
 
 
+def test_tensor_refuses_a_rename_of_no_generator_of_b():
+    with pytest.raises(ValueError, match=r"rename of \['yy'\]"):
+        tensor(DGCA([("x", 1)]), DGCA([("y", 1)]), rename={"yy": "z"})
+
+
 def test_polybound_poincare_property():
     I = _interval()
     dims = cohomology_dims(I, (0, 2), polybound=4)

@@ -1,12 +1,15 @@
 import importlib
+import itertools
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratho import dgca
 from ratho.cli import corpus
-from ratho.core_algebra import (AlgebraMorphism, apply_morphism,
+from ratho.core_algebra import (AlgebraMorphism, GeneratorSet, Polynomial,
+                                apply_morphism, basis_of_degree,
                                 morphism_by_names)
 from ratho.dgca import (
     DGCA,
@@ -403,6 +406,70 @@ def test_cofiber_then_minimal_model_matches_fiber_counts():
     ext = RelativeExtension(_sp2_inv(), _twistor())
     res = minimal_model(cofiber(ext), 8)
     assert res.counts == {2: 1, 7: 1}
+
+
+def _sub_dgca(A, names):
+    """The sub-DGCA of A on names, by cutting each exponent vector of their
+    d to those positions; RelativeExtension checks that nothing was cut."""
+    idx = [i for i, n in enumerate(A.gens.names) if n in names]
+    gens = GeneratorSet([A.gens.gens[i] for i in idx])
+    return DGCA(gens, {n: Polynomial(gens, {
+        tuple(m[i] for i in idx): c for m, c in A.d[n].terms.items()})
+        for n in gens.names})
+
+
+def _closed_subsets(A):
+    """Every set of A's generators whose d uses only generators of the set."""
+    uses = {n: {A.gens.names[i] for m in A.d[n].terms
+                for i, e in enumerate(m) if e} for n in A.gens.names}
+    for k in range(len(A.gens) + 1):
+        for names in itertools.combinations(A.gens.names, k):
+            if all(uses[n] <= set(names) for n in names):
+                yield names
+
+
+_CORPUS_EXTENSIONS = [
+    pytest.param(name, names, id="%s/%s" % (name, ",".join(names) or "-"))
+    for name in corpus.names()
+    for names in _closed_subsets(corpus.algebra(name))]
+
+
+@pytest.mark.parametrize("name,base_names", _CORPUS_EXTENSIONS)
+def test_cofiber_matches_the_term_loop_on_corpus_extensions(name,
+                                                            base_names):
+    A = corpus.algebra(name)
+    ext = RelativeExtension(_sub_dgca(A, base_names), A)
+    assert cofiber(ext) == _model_oracle.cofiber(ext)
+
+
+@st.composite
+def _extensions(draw):
+    """A relative extension whose base generators, odd and even, are
+    interleaved with new ones: each generator's d is a random integral
+    combination of monomials in the earlier generators it may use (base
+    generators only, for a base generator)."""
+    kinds = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 5)),
+                          min_size=1, max_size=6))
+    pairs = [("g%d" % i, k) for i, (_, k) in enumerate(kinds)]
+    total, d, base_d = GeneratorSet(pairs), {}, {}
+    base = GeneratorSet([p for p, (b, _) in zip(pairs, kinds) if b])
+    for i, (name, k) in enumerate(pairs):
+        earlier = GeneratorSet([p for p, (b, _) in zip(pairs[:i], kinds)
+                                if b or not kinds[i][0]])
+        monomials = basis_of_degree(earlier, k + 1)[:6]
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monomials),
+                               max_size=len(monomials)))
+        p = Polynomial(earlier, dict(zip(monomials, coeffs)))
+        d[name] = morphism_by_names(earlier, total)(p)
+        if kinds[i][0]:
+            base_d[name] = morphism_by_names(earlier, base)(p)
+    return RelativeExtension(DGCA(base, base_d), DGCA(total, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_extensions())
+def test_cofiber_matches_the_term_loop_on_drawn_extensions(ext):
+    assert cofiber(ext) == _model_oracle.cofiber(ext)
 
 
 def test_minimal_model_raises_when_d_leaves_the_slice_one_degree_up():
